@@ -49,6 +49,9 @@ cargo run --offline --release -p bench -- factor --quick
 echo "==> certify gate (bench certify --quick)"
 cargo run --offline --release -p bench -- certify --quick
 
+echo "==> benchmark self-test (perfbench/run.py --self-test)"
+python3 perfbench/run.py --self-test
+
 # Surface the perf artifacts the gates above just wrote (canonical copies
 # stay under target/repro/; the repo-root copies are gitignored and exist
 # for CI artifact upload).

@@ -95,6 +95,24 @@ impl<T: Real> ThomasFactors<T> {
         }
     }
 
+    /// Solves the transposed system `Aᵀ x = d` with the same factors.
+    /// With `A = L U`, `L` lower bidiagonal (pivots `1 / wk1`, sub-diagonal
+    /// `a`) and `U` unit upper bidiagonal (`wk2`), this is a forward sweep
+    /// through `Uᵀ` into `x`, then backward substitution through `Lᵀ` in
+    /// place — the `A^{-T}` half of a Hager condition estimate.
+    pub fn solve_transpose_into(&self, d: &[T], x: &mut [T]) {
+        let n = self.n();
+        debug_assert!(d.len() == n && x.len() == n);
+        x[0] = d[0];
+        for i in 1..n {
+            x[i] = d[i] - self.wk2[i - 1] * x[i - 1];
+        }
+        x[n - 1] *= self.wk1[n - 1];
+        for i in (0..n - 1).rev() {
+            x[i] = (x[i] - self.sub[i + 1] * x[i + 1]) * self.wk1[i];
+        }
+    }
+
     /// Convenience wrapper returning a fresh solution vector.
     pub fn solve(&self, d: &[T]) -> Vec<T> {
         let mut x = vec![T::ZERO; self.n()];
@@ -137,6 +155,22 @@ mod tests {
             let probe = TridiagonalSystem::new(s.a.clone(), s.b.clone(), s.c.clone(), d).unwrap();
             assert!(l2_residual(&probe, &x).unwrap() < 1e-3, "rhs {k}");
         }
+    }
+
+    #[test]
+    fn transpose_solve_is_the_adjoint() {
+        // u·(A^{-1} v) = (A^{-T} u)·v for every u, v: checks the transpose
+        // solve against the plain one.
+        let mut g = Generator::new(5);
+        let s: TridiagonalSystem<f64> = g.system(Workload::DiagonallyDominant, 37);
+        let v: TridiagonalSystem<f64> = g.system(Workload::DiagonallyDominant, 37);
+        let lu = ThomasFactors::factor(&s.a, &s.b, &s.c).unwrap();
+        let (mut y, mut z) = (vec![0.0; 37], vec![0.0; 37]);
+        lu.solve_into(&v.d, &mut y);
+        lu.solve_transpose_into(&s.d, &mut z);
+        let dot = |p: &[f64], q: &[f64]| p.iter().zip(q).map(|(x, y)| x * y).sum::<f64>();
+        let (left, right) = (dot(&s.d, &y), dot(&z, &v.d));
+        assert!((left - right).abs() <= 1e-12 * left.abs(), "{left} vs {right}");
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub mod thomas;
 
 pub use batch::{solve_batch_seq, Gep, SystemSolver, Thomas};
 pub use batch_soa::solve_batch_soa;
-pub use condest::{condition_estimate, inverse_norm1_estimate, norm1};
+pub use condest::{inverse_norm1_estimate, lu_inverse_norm1_estimate, norm1};
 pub use factored::ThomasFactors;
 pub use mt::{MtSolver, Schedule};
 pub use pivot_bounds::{positive_pivot_floor, thomas_pivot_floor};

@@ -7,8 +7,7 @@
 
 use tridiag_core::{require_pow2, Real, Result};
 
-/// State of a system during reduction; exposed so the hybrid solvers and
-/// tests can stop at an intermediate level.
+/// State of a system during reduction.
 #[derive(Debug, Clone)]
 pub struct CrState<T: Real> {
     /// Current (partially reduced) coefficients, full length `n`.
@@ -37,12 +36,6 @@ impl<T: Real> CrState<T> {
     /// Stride between equations still active at the current level.
     pub fn stride(&self) -> usize {
         1 << (self.level + 1)
-    }
-
-    /// Indices of the equations forming the current reduced system.
-    pub fn active_indices(&self) -> impl Iterator<Item = usize> + '_ {
-        let s = 1usize << self.level;
-        (0..self.n() / s).map(move |k| s - 1 + k * s)
     }
 
     /// One forward-reduction level: updates equations at positions

@@ -7,10 +7,11 @@
 //!
 //! Each entry holds the Thomas elimination coefficients
 //! ([`cpu_solvers::ThomasFactors`] — `wk1` reciprocal pivots / `wk2`
-//! swept super-diagonal) and, for power-of-two sizes, the CR reduction
-//! tree ([`CrReductionTree`]). Both are pure functions of `(a, b, c)`;
-//! consuming one turns the `O(8n)` cold elimination+substitution into
-//! `O(5n)` pure substitution.
+//! swept super-diagonal), a pure function of `(a, b, c)` that both warm
+//! engines (the CPU sweep and the GPU back-substitution kernel) consume:
+//! it turns the `O(8n)` cold elimination+substitution into `O(5n)` pure
+//! substitution. Inserting one is a single `O(n)` elimination, paid on
+//! the dispatch worker for every new matrix key.
 //!
 //! Determinism contract: every operation's outcome (hit/miss, which
 //! entry is evicted) is a pure function of the *sequence* of calls —
@@ -25,10 +26,6 @@
 
 #![warn(missing_docs)]
 
-pub mod cr_tree;
-
-pub use cr_tree::CrReductionTree;
-
 use cpu_solvers::ThomasFactors;
 use std::any::Any;
 use std::collections::HashMap;
@@ -40,16 +37,14 @@ use tridiag_core::{MatrixKey, NumericCertificate, Real, Result};
 /// bounded at ~3n floats per entry.
 pub const DEFAULT_CAPACITY: usize = 64;
 
-/// One cached factorization: the Thomas coefficients always, the CR
-/// reduction tree when `n` is a power of two.
+/// One cached factorization: the Thomas coefficients and the matrix's
+/// certificate.
 #[derive(Debug, Clone)]
 pub struct FactorEntry<T: Real> {
     /// Identity of the factored matrix.
     pub key: MatrixKey,
     /// Thomas `wk1`/`wk2`/sub-diagonal coefficients.
     pub thomas: Arc<ThomasFactors<T>>,
-    /// CR reduction tree (power-of-two sizes only).
-    pub cr_tree: Option<Arc<CrReductionTree<T>>>,
     /// Numerical-safety certificate of the factored matrix, making the
     /// warm tier certificate-aware: a warm flush may only skip its
     /// residual verify when the entry's own certificate agrees.
@@ -59,7 +54,7 @@ pub struct FactorEntry<T: Real> {
 impl<T: Real> FactorEntry<T> {
     /// Heap bytes of every artifact in the entry (eviction accounting).
     pub fn bytes(&self) -> usize {
-        self.thomas.bytes() + self.cr_tree.as_ref().map_or(0, |t| t.bytes())
+        self.thomas.bytes()
     }
 }
 
@@ -184,12 +179,7 @@ impl<T: Real> FactorCache<T> {
                 what: "non-finite factorization refused by the factor cache",
             });
         }
-        let cr_tree = if key.n.is_power_of_two() && key.n >= 2 {
-            CrReductionTree::build(a, b, c).ok().filter(|t| t.is_finite()).map(Arc::new)
-        } else {
-            None
-        };
-        let entry = FactorEntry { key, thomas: Arc::new(thomas), cr_tree, certificate };
+        let entry = FactorEntry { key, thomas: Arc::new(thomas), certificate };
 
         let mut inner = self.lock();
         inner.access += 1;
@@ -334,9 +324,8 @@ mod tests {
         let cache: FactorCache<f64> = FactorCache::new(4);
         let (key, s) = keyed(1, 64);
         assert!(cache.lookup(&key).is_none());
-        let (entry, evicted) = cache.factor_and_insert(key, &s.a, &s.b, &s.c).unwrap();
+        let (_, evicted) = cache.factor_and_insert(key, &s.a, &s.b, &s.c).unwrap();
         assert!(evicted.is_empty());
-        assert!(entry.cr_tree.is_some(), "pow2 sizes get a CR tree");
         let hit = cache.lookup(&key).expect("warm");
         assert_eq!(hit.key, key);
         let st = cache.stats();
@@ -437,14 +426,5 @@ mod tests {
         let (k2, s2) = keyed(12, 32);
         let (plain, _) = cache.factor_and_insert(k2, &s2.a, &s2.b, &s2.c).unwrap();
         assert_eq!(plain.certificate, NumericCertificate::Uncertified);
-    }
-
-    #[test]
-    fn non_pow2_sizes_cache_thomas_only() {
-        let cache: FactorCache<f64> = FactorCache::new(4);
-        let (key, s) = keyed(9, 48);
-        let (entry, _) = cache.factor_and_insert(key, &s.a, &s.b, &s.c).unwrap();
-        assert!(entry.cr_tree.is_none());
-        assert_eq!(entry.bytes(), entry.thomas.bytes());
     }
 }

@@ -22,8 +22,14 @@
 //! (levels halve), and a certificate is only issued when both the scan
 //! *and* the propagation check pass — so even a mis-stated analytic
 //! bound cannot mint an unsound certificate.
+//!
+//! The forward-error bound `κ₁·ε_T·n` takes `κ₁` from Hager's estimator
+//! on the `f64` no-pivot LU of the same copies. Estimating through an
+//! elimination without pivoting is valid only because the propagation
+//! check has already proven every pivot nonzero and the elimination
+//! stable.
 
-use cpu_solvers::{condition_estimate, positive_pivot_floor, thomas_pivot_floor};
+use cpu_solvers::{lu_inverse_norm1_estimate, norm1, positive_pivot_floor, thomas_pivot_floor};
 use tridiag_core::{NumericCertificate, Real, TridiagonalSystem};
 
 /// Ulps of row magnitude a class scan must clear before certifying.
@@ -107,14 +113,14 @@ fn is_m_matrix(a: &[f64], b: &[f64], c: &[f64], eps: f64) -> bool {
     positive_pivot_floor(a, b, c, SLACK_ULPS * eps * max_row).is_some()
 }
 
-/// One CR forward-reduction level: keeps the odd-indexed rows, folding
-/// each one's even neighbours in via the Schur complement. Returns `None`
-/// on a zero or non-finite elimination pivot.
-fn cr_reduce(a: &[f64], b: &[f64], c: &[f64]) -> Option<(Vec<f64>, Vec<f64>, Vec<f64>)> {
+/// One CR forward-reduction level, in place: keeps the odd-indexed rows,
+/// folding each one's even neighbours in via the Schur complement, and
+/// compacts them to the front. Reduced row `k` reads only rows
+/// `2k..=2k+2`, so no write clobbers a row still to be read. Returns the
+/// reduced length, or `None` on a zero or non-finite elimination pivot.
+fn cr_reduce(a: &mut [f64], b: &mut [f64], c: &mut [f64]) -> Option<usize> {
     let n = b.len();
-    let mut ra = Vec::with_capacity(n / 2);
-    let mut rb = Vec::with_capacity(n / 2);
-    let mut rc = Vec::with_capacity(n / 2);
+    let mut m = 0;
     let mut i = 1;
     while i < n {
         if b[i - 1] == 0.0 || !b[i - 1].is_finite() {
@@ -129,12 +135,11 @@ fn cr_reduce(a: &[f64], b: &[f64], c: &[f64]) -> Option<(Vec<f64>, Vec<f64>, Vec
         } else {
             (0.0, 0.0, 0.0)
         };
-        ra.push(-a[i - 1] * k1);
-        rb.push(b[i] - c[i - 1] * k1 - a_next * k2);
-        rc.push(-c_next * k2);
+        (a[m], b[m], c[m]) = (-a[i - 1] * k1, b[i] - c[i - 1] * k1 - a_next * k2, -c_next * k2);
+        m += 1;
         i += 2;
     }
-    (!rb.is_empty()).then_some((ra, rb, rc))
+    Some(m)
 }
 
 /// Runs CR reduction to the bottom, checking `property` on every reduced
@@ -146,14 +151,15 @@ fn cr_levels_preserve(
     property: impl Fn(&[f64], &[f64], &[f64]) -> bool,
 ) -> bool {
     let (mut a, mut b, mut c) = (a.to_vec(), b.to_vec(), c.to_vec());
-    while b.len() > 2 {
-        let Some((ra, rb, rc)) = cr_reduce(&a, &b, &c) else {
+    let mut len = b.len();
+    while len > 2 {
+        let Some(m) = cr_reduce(&mut a[..len], &mut b[..len], &mut c[..len]) else {
             return false;
         };
-        if !property(&ra, &rb, &rc) {
+        len = m;
+        if !property(&a[..len], &b[..len], &c[..len]) {
             return false;
         }
-        (a, b, c) = (ra, rb, rc);
     }
     true
 }
@@ -210,18 +216,17 @@ pub fn analyze<T: Real>(system: &TridiagonalSystem<T>) -> Analysis {
         return Analysis::uncertified(0);
     }
 
-    // Forward-error bound from the Hager estimator; certification
-    // requires it to be finite.
-    match condition_estimate(system) {
-        Ok(kappa1) if kappa1.is_finite() => {
-            let forward_error_bound = kappa1 * eps * n as f64;
-            if !forward_error_bound.is_finite() {
-                return Analysis::uncertified(1);
-            }
-            Analysis { certificate, forward_error_bound, kappa1, condest_calls: 1 }
-        }
-        _ => Analysis::uncertified(1),
+    // Forward-error bound, priced on the no-pivot LU the propagation
+    // check just proved stable; certification requires it to be finite.
+    let Ok(inverse_norm1) = lu_inverse_norm1_estimate(&a, &b, &c) else {
+        return Analysis::uncertified(1);
+    };
+    let kappa1 = norm1(system) * inverse_norm1;
+    let forward_error_bound = kappa1 * eps * n as f64;
+    if !forward_error_bound.is_finite() {
+        return Analysis::uncertified(1);
     }
+    Analysis { certificate, forward_error_bound, kappa1, condest_calls: 1 }
 }
 
 #[cfg(test)]

@@ -24,7 +24,11 @@
 //!   boundary.
 
 use cpu_solvers::{gep, pivot_bounds::thomas_pivot_floor, thomas};
+use numeric_verify::{CertifiedCatalog, NumericCertificate};
 use proptest::prelude::*;
+use solver_service::{ServiceConfig, SolverService};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 use tridiag_core::residual::relative_l2_residual;
 use tridiag_core::{Generator, Real, TridiagonalSystem, Workload};
 
@@ -51,6 +55,58 @@ fn almost_dominant<T: Real>(
     // make the row dominant again (with flipped sign), not weaker.
     sys.b[i] = T::from_f64(sign * (off - break_by).max(0.0));
     sys
+}
+
+/// The three certifiable families the estimator is priced on.
+#[derive(Debug, Clone, Copy)]
+enum Family {
+    /// The generator's strictly dominant rows.
+    Dominant,
+    /// Variable-coefficient diffusion `−(k u′)′`: symmetric, weakly
+    /// dominant, positive definite (constant `k` is the Poisson stencil).
+    Spd,
+    /// Row-scaled `[−1, 1.5, −0.5]`: asymmetric, weakly dominant, a
+    /// textbook M-matrix.
+    MMatrix,
+}
+
+impl Family {
+    fn system(self, n: usize, seed: u64) -> TridiagonalSystem<f64> {
+        let mut sys: TridiagonalSystem<f64> =
+            Generator::new(seed).system(Workload::DiagonallyDominant, n);
+        // Positive weights in [0.5, 2), drawn from the generator's diagonal.
+        let w: Vec<f64> = sys.b.iter().map(|b| 0.5 + 1.5 * (b.abs() % 1.0)).collect();
+        for i in 0..n {
+            let (a, b, c) = match self {
+                Family::Dominant => return sys,
+                // Conductances k_i = w_i, with k_n = w_0 on the right edge.
+                Family::Spd => (-w[i], w[i] + w[(i + 1) % n], -w[(i + 1) % n]),
+                Family::MMatrix => (-w[i], 1.5 * w[i], -0.5 * w[i]),
+            };
+            sys.a[i] = if i == 0 { 0.0 } else { a };
+            sys.b[i] = b;
+            sys.c[i] = if i + 1 == n { 0.0 } else { c };
+        }
+        sys
+    }
+}
+
+fn narrow(sys: &TridiagonalSystem<f64>) -> TridiagonalSystem<f32> {
+    let f = |v: &[f64]| v.iter().map(|&x| x as f32).collect();
+    TridiagonalSystem { a: f(&sys.a), b: f(&sys.b), c: f(&sys.c), d: f(&sys.d) }
+}
+
+/// Exact `||A^{-1}||_1` by solving for every column of the identity.
+fn dense_inverse_norm1(sys: &TridiagonalSystem<f64>) -> f64 {
+    let n = sys.n();
+    let mut probe = sys.clone();
+    (0..n)
+        .map(|j| {
+            probe.d = vec![0.0; n];
+            probe.d[j] = 1.0;
+            gep::solve(&probe).unwrap().iter().map(|v| v.abs()).sum::<f64>()
+        })
+        .fold(0.0, f64::max)
 }
 
 /// The two soundness checks, shared by every generation strategy below.
@@ -151,6 +207,91 @@ proptest! {
             );
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The no-pivot LU estimator the analyzer prices certificates with:
+    /// it runs the same iteration as the pivoted reference, so on these
+    /// families the two agree to rounding; it never exceeds the exact
+    /// norm; and each family still earns its certificate class in both
+    /// precisions.
+    #[test]
+    fn lu_estimator_agrees_with_the_pivoted_reference(
+        seed in 0u64..1_000_000,
+        n in prop::sample::select(vec![8usize, 33, 64, 128, 257, 512]),
+        case in prop::sample::select(vec![
+            (Family::Dominant, "strictly-dominant"),
+            (Family::Spd, "spd"),
+            (Family::MMatrix, "m-matrix"),
+        ]),
+    ) {
+        let (family, class) = case;
+        let sys = family.system(n, seed);
+        let lu = cpu_solvers::lu_inverse_norm1_estimate(&sys.a, &sys.b, &sys.c).unwrap();
+        let reference = cpu_solvers::inverse_norm1_estimate(&sys).unwrap();
+        prop_assert!(
+            (lu - reference).abs() <= 1e-12 * reference,
+            "{family:?} n={n}: LU {lu} vs GEP {reference}"
+        );
+        if n <= 64 {
+            let exact = dense_inverse_norm1(&sys);
+            prop_assert!(lu <= exact * (1.0 + 1e-9), "{family:?} n={n}: {lu} > exact {exact}");
+        }
+        let class64 = numeric_verify::analyze(&sys).certificate.name();
+        prop_assert!(class64 == class, "f64 {family:?} n={n}: {class64}");
+        let class32 = numeric_verify::analyze(&narrow(&sys)).certificate.name();
+        prop_assert!(class32 == class, "f32 {family:?} n={n}: {class32}");
+    }
+}
+
+/// Strictly dominant, but `||A^{-1}||_1 ~ 5e38` lies beyond f32's range:
+/// any estimate iterated in f32 overflows. `d` is the row sums, so the
+/// solution is all ones.
+fn overflowing_f32_system() -> TridiagonalSystem<f32> {
+    let mut sys = TridiagonalSystem::<f32>::toeplitz(64, -1e-38, 2.2e-38, -1e-38, 0.0).unwrap();
+    sys.d = (0..64).map(|i| (sys.a[i] as f64 + sys.b[i] as f64 + sys.c[i] as f64) as f32).collect();
+    sys
+}
+
+#[test]
+fn analysis_of_an_overflowing_f32_system_does_not_panic() {
+    let sys = overflowing_f32_system();
+    let est = cpu_solvers::inverse_norm1_estimate(&sys);
+    assert!(est.is_err(), "the f32 iterates overflow: {est:?}");
+    let analysis = numeric_verify::analyze(&sys);
+    assert!(
+        matches!(analysis.certificate, NumericCertificate::StrictlyDominant { .. }),
+        "{:?}",
+        analysis.certificate
+    );
+    assert!(analysis.kappa1.is_finite() && analysis.forward_error_bound < 1e-2, "{analysis:?}");
+    assert_eq!(analysis.condest_calls, 1);
+    assert_sound(&sys, "f32-overflow").expect("sound");
+}
+
+#[test]
+fn service_answers_an_overflowing_f32_system() {
+    let svc = SolverService::<f32>::start(ServiceConfig {
+        workers: 1,
+        certified: Some(Arc::new(CertifiedCatalog::new())),
+        ..ServiceConfig::default()
+    });
+    let sys = overflowing_f32_system();
+    let ticket = svc.submit(sys.clone()).expect("admitted");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let response = loop {
+        if let Some(response) = ticket.try_take() {
+            break response;
+        }
+        assert!(Instant::now() < deadline, "no answer within 30 s: the dispatch worker died");
+        std::thread::sleep(Duration::from_millis(1));
+    };
+    let rel = relative_l2_residual(&sys, &response.x).unwrap();
+    assert!(rel < 1e-4, "relative residual {rel} from {}", response.engine);
+    let snap = svc.shutdown();
+    assert_eq!(snap.certs_issued, 1, "{snap:?}");
 }
 
 /// Deterministic spot checks at the largest size for both precisions, so
