@@ -49,6 +49,10 @@ cargo run --offline --release -p bench -- factor --quick
 echo "==> certify gate (bench certify --quick)"
 cargo run --offline --release -p bench -- certify --quick
 
+echo "==> warm-tier examples (repeat matrices must be served warm)"
+cargo run --offline --release --example adi_heat_service
+cargo run --offline --release --example spectral_poisson
+
 echo "==> benchmark self-test (perfbench/run.py --self-test)"
 python3 perfbench/run.py --self-test
 

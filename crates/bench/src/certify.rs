@@ -28,7 +28,7 @@ use solver_service::{
     FlushReason, FlushedBatch, PlanCache, ServiceMetrics, Ticket,
 };
 use std::sync::Arc;
-use tridiag_core::{Generator, MatrixKey, TridiagonalSystem, Workload};
+use tridiag_core::{splitmix64_next, Generator, MatrixKey, TridiagonalSystem, Workload};
 
 /// System sizes the pooled matrices cycle over.
 const SIZES: [usize; 3] = [64, 128, 256];
@@ -56,14 +56,6 @@ struct ModeOutcome {
     cert_sampled_verifies: u64,
     certs_revoked: u64,
     quiet: bool,
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Builds the matrix pool: `keys − 1` strictly dominant templates plus one
@@ -122,7 +114,7 @@ fn drive(seed: u64, total: usize, keys: usize, certified: bool) -> ModeOutcome {
         for _ in 0..BATCH {
             let mut system = template.clone();
             for v in system.d.iter_mut() {
-                *v = (splitmix64(&mut rhs_rng) % 19) as f32 - 9.0;
+                *v = (splitmix64_next(&mut rhs_rng) % 19) as f32 - 9.0;
             }
             let (req, ticket) = make_request_keyed(id, system, 0, None, Some(*key));
             id += 1;

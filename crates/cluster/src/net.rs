@@ -21,6 +21,7 @@
 use gpu_sim::{Clock, Tick};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
+use tridiag_core::splitmix64;
 
 /// Cost model for one directed link: fixed latency plus payload over
 /// bandwidth — the same shape as `CostModel::pcie_seconds`.
@@ -153,16 +154,6 @@ impl Delivery {
             Delivery::Dropped | Delivery::Blocked => None,
         }
     }
-}
-
-/// SplitMix64 finalizer (same mixer as `gpu_sim::fault`; reimplemented so
-/// the stream constants stay local to the network layer).
-#[inline]
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Uniform `[0, 1)` draw keyed by (seed, link, message index, stream).

@@ -11,14 +11,7 @@
 //! consistent-hashing property that keeps the rest of the cache placement
 //! intact across failures and heals.
 
-/// SplitMix64 finalizer, the workspace's standard avalanche.
-#[inline]
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use tridiag_core::splitmix64;
 
 /// A consistent-hash ring: `vnodes` points per node, sorted by hash.
 #[derive(Debug, Clone)]

@@ -34,6 +34,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+use tridiag_core::splitmix64;
 
 /// Rates and knobs for one fault plan. All rates are per-launch
 /// probabilities in `[0, 1]`; everything defaults to zero (no faults).
@@ -310,16 +311,6 @@ impl FaultConfig {
     pub fn for_device(self, pool_seed: u64, device_index: u64) -> Self {
         Self { seed: derive_device_seed(pool_seed, device_index), ..self }
     }
-}
-
-/// SplitMix64 finalizer — the same mixer the offline `rand` shim seeds
-/// with, reimplemented here so `gpu-sim` stays dependency-free.
-#[inline]
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Uniform `[0, 1)` draw keyed by (seed, launch, stream).

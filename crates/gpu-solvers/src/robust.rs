@@ -24,6 +24,11 @@ pub struct RobustSolveReport<T: Real> {
     pub gpu: GpuSolveReport<T>,
     /// Indices of systems re-solved on the CPU and why.
     pub repaired: Vec<Repair>,
+    /// `‖Ax − d‖₂` of each delivered solution, as the verify measured it
+    /// (after repair, for repaired systems). `None` where
+    /// [`RobustOptions::skip_residual_verify`] accepted a finite solution
+    /// unmeasured.
+    pub residuals: Vec<Option<f64>>,
     /// Residual threshold used for acceptance.
     pub threshold: f64,
 }
@@ -43,10 +48,9 @@ pub enum RepairReason {
 pub struct Repair {
     /// System index within the batch.
     pub system: usize,
-    /// What triggered the repair.
+    /// What triggered the repair (the residual after the CPU re-solve is
+    /// in [`RobustSolveReport::residuals`]).
     pub reason: RepairReason,
-    /// Residual after the CPU re-solve.
-    pub final_residual: f64,
 }
 
 /// Options for [`solve_batch_robust`].
@@ -97,6 +101,7 @@ pub fn solve_batch_robust<T: Real>(
     let n = batch.n();
     let eps = T::EPSILON.to_f64();
     let mut repaired = Vec::new();
+    let mut residuals = Vec::with_capacity(batch.count());
     let mut threshold_used = 0.0f64;
 
     for s in 0..batch.count() {
@@ -106,23 +111,26 @@ pub fn solve_batch_robust<T: Real>(
         let threshold = options.threshold_scale * d_norm * eps * n as f64;
         threshold_used = threshold; // same formula per system; keep last
         let x = gpu.solutions.system(s);
-        let reason = if x.iter().any(|v| !v.is_finite()) {
-            Some(RepairReason::NonFinite)
+        let (reason, measured) = if x.iter().any(|v| !v.is_finite()) {
+            (Some(RepairReason::NonFinite), None)
         } else if options.skip_residual_verify {
-            None
+            (None, None)
         } else {
             let r = l2_residual(&sys, x)?;
-            (r > threshold).then_some(RepairReason::LargeResidual)
+            ((r > threshold).then_some(RepairReason::LargeResidual), Some(r))
         };
-        if let Some(reason) = reason {
-            let mut fixed = vec![T::ZERO; n];
-            gep::solve_into(&sys.a, &sys.b, &sys.c, &sys.d, &mut fixed)?;
-            let final_residual = l2_residual(&sys, &fixed)?;
-            gpu.solutions.system_mut(s).copy_from_slice(&fixed);
-            repaired.push(Repair { system: s, reason, final_residual });
+        match reason {
+            Some(reason) => {
+                let mut fixed = vec![T::ZERO; n];
+                gep::solve_into(&sys.a, &sys.b, &sys.c, &sys.d, &mut fixed)?;
+                residuals.push(Some(l2_residual(&sys, &fixed)?));
+                gpu.solutions.system_mut(s).copy_from_slice(&fixed);
+                repaired.push(Repair { system: s, reason });
+            }
+            None => residuals.push(measured),
         }
     }
-    Ok(RobustSolveReport { gpu, repaired, threshold: threshold_used })
+    Ok(RobustSolveReport { gpu, repaired, residuals, threshold: threshold_used })
 }
 
 #[cfg(test)]
@@ -185,6 +193,12 @@ mod tests {
             .unwrap();
         assert_eq!(r.repaired.len(), 1);
         assert_eq!(r.repaired[0].system, 3);
+        // The reported residuals are those of the delivered (repaired)
+        // solutions, bit for bit.
+        for s in 0..batch.count() {
+            let delivered = l2_residual(&batch.system(s), r.gpu.solutions.system(s)).unwrap();
+            assert_eq!(r.residuals[s].map(f64::to_bits), Some(delivered.to_bits()), "system {s}");
+        }
         let res = batch_residual(&batch, &r.gpu.solutions).unwrap();
         assert!(!res.has_overflow());
         assert!(res.max_l2 < 1e-3, "{}", res.max_l2);
@@ -251,6 +265,11 @@ mod tests {
         .unwrap();
         assert!(!r.repaired.is_empty());
         assert!(r.repaired.iter().all(|rep| rep.reason == RepairReason::NonFinite));
+        // Only repaired systems carry a measured residual.
+        for s in 0..batch.count() {
+            let repaired = r.repaired.iter().any(|rep| rep.system == s);
+            assert_eq!(r.residuals[s].is_some(), repaired, "system {s}");
+        }
     }
 
     #[test]

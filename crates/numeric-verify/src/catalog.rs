@@ -3,8 +3,11 @@
 //!
 //! ## The sampled-verification contract
 //!
-//! * A key is analyzed **exactly once** (on first sight); the verdict is
-//!   memoized under its [`MatrixKey`].
+//! * A key is analyzed **exactly once**, by its first `observe`; the
+//!   verdict is memoized under its [`MatrixKey`]. The service calls
+//!   `observe` only from a key's second sighting on (a repeat flush, or
+//!   a flush holding several systems of the key), so keys seen once are
+//!   never analyzed; once analyzed, a key is observed on every flush.
 //! * Certified keys downgrade the per-answer residual verify to 1-in-K
 //!   sampling: the first flush of a certified key is always `Sampled`
 //!   (an immediate end-to-end validation), then every K-th flush after
@@ -110,9 +113,9 @@ impl CertifiedCatalog {
         self.sample_period
     }
 
-    /// Records one flush of `key`: analyzes the system on first sight
-    /// (memoized thereafter), advances the key's deterministic flush
-    /// counter, and returns the verification policy for this flush.
+    /// Records one flush of `key`: analyzes the system on the first call
+    /// for `key` (memoized thereafter), advances the key's deterministic
+    /// flush counter, and returns the verification policy for this flush.
     pub fn observe<T: Real>(&self, key: MatrixKey, system: &TridiagonalSystem<T>) -> Observation {
         let mut entries = self.entries.lock();
         let mut newly_analyzed = false;

@@ -40,6 +40,7 @@ use crate::breaker::{Admission, CircuitBreakers};
 use crate::metrics::ServiceMetrics;
 use crate::planner::{CpuEngine, Engine, PlanCache};
 use crate::request::SolveRequest;
+use crate::sightings::Sightings;
 use crate::trace::{TraceEvent, TraceHandle};
 use cpu_solvers::{gep, thomas};
 use device_pool::DevicePool;
@@ -83,18 +84,26 @@ pub struct DispatchConfig {
     /// Factorization cache for the warm serving tier. When set, a flush
     /// whose requests all carry the same matrix key is served from the
     /// cached elimination coefficients — back-substitution only, no
-    /// elimination — with a miss factoring the matrix once and falling
-    /// through to the cold path. `None` (the default) disables the warm
-    /// tier entirely; every existing dispatch decision is unchanged.
+    /// elimination — with a miss on an admitted key (see
+    /// [`sightings`](Self::sightings)) factoring the matrix once and
+    /// falling through to the cold path. `None` (the default) disables
+    /// the warm tier entirely; every existing dispatch decision is
+    /// unchanged.
     pub factor_cache: Option<Arc<SharedFactorCache>>,
     /// Numerical-safety certificate catalog. When set, a keyed flush is
-    /// statically analyzed once per matrix identity; certified matrices
-    /// downgrade the per-answer residual verify to deterministic 1-in-K
-    /// *sampled* verification (skipped answers keep the NaN/Inf guard and
-    /// report the certificate's a-priori forward-error bound), and a
-    /// corruption caught on any verified flush revokes the certificate.
-    /// `None` (the default) keeps full verification everywhere.
+    /// statically analyzed once per matrix identity, on the key's second
+    /// sighting; certified matrices downgrade the per-answer residual
+    /// verify to deterministic 1-in-K *sampled* verification (skipped
+    /// answers keep the NaN/Inf guard and report the certificate's
+    /// a-priori forward-error bound), and a corruption caught on any
+    /// verified flush revokes the certificate. `None` (the default) keeps
+    /// full verification everywhere.
     pub certified: Option<Arc<CertifiedCatalog>>,
+    /// The service's second-sighting table, gating the warm tier's write
+    /// side (certificate analysis and factor insert; see
+    /// [`crate::sightings`]). State, not a knob: each default-built
+    /// config gets an empty table, and clones share it.
+    pub sightings: Arc<Sightings>,
     /// How many times one engine is tried per flush before it is excluded
     /// (first attempt + retries). Transient device faults between attempts
     /// back off exponentially.
@@ -127,6 +136,7 @@ impl Default for DispatchConfig {
             verified: None,
             factor_cache: None,
             certified: None,
+            sightings: Arc::new(Sightings::new()),
             max_attempts_per_engine: 2,
             max_total_attempts: 4,
             backoff_base: Duration::from_micros(50),
@@ -199,18 +209,32 @@ pub fn serve_flush<T: Real>(
     let occupancy = requests.len();
     debug_assert!(occupancy > 0, "empty flush");
 
-    // Certification: a keyed flush consults the certificate catalog
-    // first. The matrix is statically analyzed exactly once per key;
-    // thereafter the catalog's deterministic 1-in-K policy decides how
-    // much verification this flush pays. Unkeyed flushes (and any flush
-    // without a catalog) keep full verification.
+    // Admission: the warm tier's write side — the certificate analysis
+    // and the factor insert — runs only on a key's second sighting (a
+    // flush with ≥ 2 systems of the key, or a repeat flush; see
+    // `crate::sightings`). A one-hit key is served like an uncertified
+    // one: cold, with full per-answer verification. Reads are never
+    // gated: a memoized certificate or a resident factorization is always
+    // used. Unkeyed flushes (and any flush without a catalog or cache)
+    // keep full verification.
     let matrix_key = (cfg.factor_cache.is_some() || cfg.certified.is_some())
         .then(|| shared_matrix_key(&requests))
         .flatten();
+    let admitted =
+        matrix_key.is_some_and(|key| cfg.sightings.record(key.fingerprint()) || occupancy >= 2);
+
+    // Certification: an admitted or already-analyzed key consults the
+    // certificate catalog, whose deterministic 1-in-K policy decides how
+    // much verification this flush pays.
     let mut policy = VerifyPolicy::full(cfg.threshold_scale);
     let mut certificate = NumericCertificate::Uncertified;
-    if let (Some(catalog), Some(key)) = (&cfg.certified, matrix_key) {
-        let obs = catalog.observe(key, &requests[0].system);
+    let observation = match (&cfg.certified, matrix_key) {
+        (Some(catalog), Some(key)) if admitted || catalog.certificate(&key).is_some() => {
+            Some((key, catalog.observe(key, &requests[0].system)))
+        }
+        _ => None,
+    };
+    if let Some((key, obs)) = observation {
         if obs.newly_analyzed {
             metrics.on_condest_calls(obs.condest_calls);
             if obs.certificate.is_certified() {
@@ -260,7 +284,8 @@ pub fn serve_flush<T: Real>(
     // Warm tier: a keyed flush (every member shares one matrix identity)
     // checks the factorization cache first. A hit skips planning *and*
     // elimination — the batch is served by back-substitution alone; a
-    // miss factors the matrix for next time and falls through cold.
+    // miss on an admitted key factors the matrix for next time, and every
+    // miss falls through cold.
     let mut warm_outcome: Option<Outcome<T>> = None;
     if let Some(shared) = &cfg.factor_cache {
         if let Some(key) = matrix_key {
@@ -290,17 +315,21 @@ pub fn serve_flush<T: Real>(
                     // simply not cached; the cold path's verify/repair
                     // machinery owns them. The entry carries the matrix's
                     // certificate so warm hits stay certificate-aware.
-                    if let Ok((_, evicted)) = cache.factor_and_insert_with_certificate(
-                        key,
-                        &sys.a,
-                        &sys.b,
-                        &sys.c,
-                        certificate,
-                    ) {
-                        metrics.on_factor_evictions(evicted.len() as u64);
-                        for fp in evicted {
-                            cfg.trace
-                                .emit(|| TraceEvent::FactorEvict { at: cfg.clock.now(), key: fp });
+                    if admitted {
+                        if let Ok((_, evicted)) = cache.factor_and_insert_with_certificate(
+                            key,
+                            &sys.a,
+                            &sys.b,
+                            &sys.c,
+                            certificate,
+                        ) {
+                            metrics.on_factor_evictions(evicted.len() as u64);
+                            for fp in evicted {
+                                cfg.trace.emit(|| TraceEvent::FactorEvict {
+                                    at: cfg.clock.now(),
+                                    key: fp,
+                                });
+                            }
                         }
                     }
                 }
@@ -652,18 +681,15 @@ fn execute<T: Real>(
                     for repair in &report.repaired {
                         repaired_flags[repair.system] = true;
                     }
-                    // Skipped flushes report the certificate's a-priori
-                    // bound instead of paying the O(n) residual read-back
-                    // (repaired systems report their measured residual).
-                    let residuals = if policy.skips() {
-                        let mut rs = vec![policy.forward_error_bound; systems.len()];
-                        for repair in &report.repaired {
-                            rs[repair.system] = repair.final_residual;
-                        }
-                        rs
-                    } else {
-                        residuals_of(systems, &report.gpu.solutions)
-                    };
+                    // The verify's measured residuals; skipped flushes
+                    // report the certificate's a-priori bound instead of
+                    // paying the O(n) read-back (repaired systems report
+                    // their measured residual).
+                    let residuals = report
+                        .residuals
+                        .iter()
+                        .map(|r| r.unwrap_or(policy.forward_error_bound))
+                        .collect();
                     let engine_ms = report.gpu.timing.total_ms();
                     let corruptions = report.gpu.corruption_count() as u64;
                     return Outcome {
@@ -839,7 +865,6 @@ fn warm_execute<T: Real>(
     // licenses skipping the residual read; the NaN/Inf guard is never
     // skipped. Failures additionally condemn the cached factorization.
     let skip_verify = policy.skips() && entry.certificate.is_certified();
-    let eps = T::EPSILON.to_f64();
     let mut residuals = vec![0.0f64; count];
     let mut repaired_flags = vec![false; count];
     let mut repairs = 0usize;
@@ -848,24 +873,21 @@ fn warm_execute<T: Real>(
         let sys = &req.system;
         let x = solutions.system_mut(i);
         let finite = x.iter().all(|v| v.is_finite());
-        let accepted = if skip_verify {
-            finite
-        } else {
-            let d_norm: f64 =
-                sys.d.iter().map(|&v| v.to_f64() * v.to_f64()).sum::<f64>().sqrt().max(1e-30);
-            let threshold = policy.threshold_scale * d_norm * eps * n as f64;
-            finite && l2_residual(sys, x).map(|r| r <= threshold).unwrap_or(false)
-        };
+        // Measured once: the residual that accepts an answer is the one
+        // it reports.
+        let measured = (!skip_verify && finite).then(|| residual_of(sys, x));
+        let accepted = finite
+            && measured.is_none_or(|r| r <= acceptance_threshold(policy.threshold_scale, sys));
         if !accepted {
             let _ = gep::solve_into(&sys.a, &sys.b, &sys.c, &sys.d, x);
             repaired_flags[i] = true;
             repairs += 1;
             corruptions += 1;
         }
-        residuals[i] = if skip_verify && !repaired_flags[i] {
-            policy.forward_error_bound
-        } else {
-            l2_residual(sys, x).unwrap_or(f64::INFINITY)
+        residuals[i] = match measured {
+            Some(r) if accepted => r,
+            _ if skip_verify && accepted => policy.forward_error_bound,
+            _ => residual_of(sys, x),
         };
     }
     if corruptions > 0 && cache.invalidate(key) {
@@ -903,7 +925,6 @@ fn cpu_execute<T: Real>(
     clock: &Clock,
 ) -> Outcome<T> {
     let n = batch.n();
-    let eps = T::EPSILON.to_f64();
     let skip_verify = policy.skips();
     let mut solutions = SolutionBatch::zeros_like(batch);
     let mut residuals = vec![0.0f64; systems.len()];
@@ -918,24 +939,23 @@ fn cpu_execute<T: Real>(
             CpuEngine::Gep => gep::solve_into(&sys.a, &sys.b, &sys.c, &sys.d, x).is_ok(),
         };
         let finite = x.iter().all(|v| v.is_finite());
-        let accepted = if skip_verify {
-            primary_ok && finite
-        } else {
-            let d_norm: f64 =
-                sys.d.iter().map(|&v| v.to_f64() * v.to_f64()).sum::<f64>().sqrt().max(1e-30);
-            let threshold = policy.threshold_scale * d_norm * eps * n as f64;
-            primary_ok && finite && l2_residual(sys, x).map(|r| r <= threshold).unwrap_or(false)
-        };
-        if !accepted && cpu != CpuEngine::Gep {
+        // Measured once: the residual that accepts an answer is the one
+        // it reports.
+        let measured = (!skip_verify && primary_ok && finite).then(|| residual_of(sys, x));
+        let accepted = primary_ok
+            && finite
+            && measured.is_none_or(|r| r <= acceptance_threshold(policy.threshold_scale, sys));
+        let repaired = !accepted && cpu != CpuEngine::Gep;
+        if repaired {
             // Same repair path as the GPU robust wrapper.
             let _ = gep::solve_into(&sys.a, &sys.b, &sys.c, &sys.d, x);
             repaired_flags[i] = true;
             repairs += 1;
         }
-        residuals[i] = if skip_verify && accepted {
-            policy.forward_error_bound
-        } else {
-            l2_residual(sys, x).unwrap_or(f64::INFINITY)
+        residuals[i] = match measured {
+            Some(r) if !repaired => r,
+            _ if skip_verify && accepted => policy.forward_error_bound,
+            _ => residual_of(sys, x),
         };
     }
 
@@ -965,15 +985,16 @@ fn cpu_execute<T: Real>(
     }
 }
 
-fn residuals_of<T: Real>(
-    systems: &[TridiagonalSystem<T>],
-    solutions: &SolutionBatch<T>,
-) -> Vec<f64> {
-    systems
-        .iter()
-        .enumerate()
-        .map(|(i, sys)| l2_residual(sys, solutions.system(i)).unwrap_or(f64::INFINITY))
-        .collect()
+/// `‖Ax − d‖₂` of `x` (`+∞` if the shapes disagree).
+fn residual_of<T: Real>(sys: &TridiagonalSystem<T>, x: &[T]) -> f64 {
+    l2_residual(sys, x).unwrap_or(f64::INFINITY)
+}
+
+/// The residual acceptance bound `scale · ‖d‖₂ · ε · n`, the same rule
+/// `solve_batch_robust` applies.
+fn acceptance_threshold<T: Real>(scale: f64, sys: &TridiagonalSystem<T>) -> f64 {
+    let d_norm: f64 = sys.d.iter().map(|&v| v.to_f64() * v.to_f64()).sum::<f64>().sqrt().max(1e-30);
+    scale * d_norm * T::EPSILON.to_f64() * sys.n() as f64
 }
 
 #[cfg(test)]
@@ -1515,6 +1536,188 @@ mod tests {
         assert!(snap.degradation.is_quiet(), "certification is not degradation");
         let stats = catalog.stats();
         assert_eq!((stats.analyzed, stats.certified, stats.revoked), (1, 1, 0));
+    }
+
+    // ── second-sighting admission of the warm tier's write side ───────
+
+    /// The verify decision one flush paid, read off the metric deltas.
+    fn decision_between(
+        before: &crate::metrics::MetricsSnapshot,
+        after: &crate::metrics::MetricsSnapshot,
+    ) -> VerifyDecision {
+        if after.cert_sampled_verifies > before.cert_sampled_verifies {
+            VerifyDecision::Sampled
+        } else if after.cert_skipped_verifies > before.cert_skipped_verifies {
+            VerifyDecision::Skip
+        } else {
+            VerifyDecision::Full
+        }
+    }
+
+    /// Serves `rounds` flushes of `count` RHS against `system` and returns
+    /// each flush's verify decision; every answer must be accurate.
+    fn serve_rounds(
+        system: &TridiagonalSystem<f32>,
+        count: usize,
+        rounds: u64,
+        plans: &PlanCache,
+        metrics: &ServiceMetrics,
+        cfg: &DispatchConfig,
+    ) -> Vec<VerifyDecision> {
+        let launcher = Launcher::gtx280();
+        (0..rounds)
+            .map(|round| {
+                let before = metrics.snapshot(0, 0, 0);
+                let (flush, tickets) = keyed_flush(system, count, round);
+                serve_flush(
+                    DeviceCtx::solo(&launcher),
+                    plans,
+                    &CircuitBreakers::default(),
+                    metrics,
+                    cfg,
+                    flush,
+                );
+                for ticket in tickets {
+                    let resp = ticket.try_take().unwrap();
+                    assert!(!resp.repaired, "round {round}: dominant traffic needs no repair");
+                    assert!(resp.residual < 1e-2, "round {round}: {}", resp.residual);
+                }
+                decision_between(&before, &metrics.snapshot(0, 0, 0))
+            })
+            .collect()
+    }
+
+    /// A dispatch config with its own certified catalog (1-in-4) and
+    /// factor cache, and (via `cfg()`) its own empty sightings table.
+    fn warm_tier_cfg() -> (DispatchConfig, Arc<CertifiedCatalog>, Arc<SharedFactorCache>) {
+        let catalog = Arc::new(CertifiedCatalog::with_sample_period(4));
+        let cache = Arc::new(SharedFactorCache::new(64));
+        let cfg = DispatchConfig {
+            certified: Some(Arc::clone(&catalog)),
+            factor_cache: Some(Arc::clone(&cache)),
+            ..cfg()
+        };
+        (cfg, catalog, cache)
+    }
+
+    #[test]
+    fn one_hit_keys_never_reach_the_write_side() {
+        let (one_hit_cfg, catalog, cache) = warm_tier_cfg();
+        let launcher = Launcher::gtx280();
+        let plans = PlanCache::new();
+        let metrics = ServiceMetrics::new();
+        let mut generator = Generator::new(81);
+        for i in 0..10_000u64 {
+            let n = [64, 128, 256, 512][(i % 4) as usize];
+            let system: TridiagonalSystem<f32> = generator.system(Workload::DiagonallyDominant, n);
+            let (flush, tickets) = keyed_flush(&system, 1, i);
+            serve_flush(
+                DeviceCtx::solo(&launcher),
+                &plans,
+                &CircuitBreakers::default(),
+                &metrics,
+                &one_hit_cfg,
+                flush,
+            );
+            let resp = tickets[0].try_take().unwrap();
+            assert_eq!(resp.engine, "cpu-thomas");
+            assert!(resp.residual < 1e-2, "{}", resp.residual);
+        }
+        let snap = metrics.snapshot(0, 0, 0);
+        assert_eq!(snap.completed, 10_000);
+        assert_eq!(catalog.len(), 0, "one-hit keys are never analyzed");
+        assert_eq!(cache.stats().entries, 0, "one-hit keys are never factored");
+        assert_eq!(snap.condest_calls, 0);
+        assert_eq!(snap.repaired, 0);
+        assert_eq!((snap.factor_misses, snap.factor_hits), (10_000, 0), "reads are not gated");
+    }
+
+    #[test]
+    fn single_system_key_is_admitted_on_its_second_sighting() {
+        use VerifyDecision::*;
+        let (warm_cfg, catalog, cache) = warm_tier_cfg();
+        let plans = PlanCache::new();
+        let metrics = ServiceMetrics::new();
+        let system: TridiagonalSystem<f32> =
+            Generator::new(82).system(Workload::DiagonallyDominant, 128);
+        let decisions = serve_rounds(&system, 1, 7, &plans, &metrics, &warm_cfg);
+        // First sighting: served like an uncertified key. Second: analyzed,
+        // certified and factored, so its first certified flush is sampled.
+        assert_eq!(decisions, vec![Full, Sampled, Skip, Skip, Skip, Sampled, Skip]);
+        let snap = metrics.snapshot(0, 0, 0);
+        assert_eq!((snap.condest_calls, snap.certs_issued), (1, 1), "exactly one analysis");
+        assert_eq!(catalog.stats().analyzed, 1);
+        assert_eq!(cache.stats().entries, 1, "exactly one insert");
+        assert_eq!((snap.factor_misses, snap.factor_hits), (2, 5));
+    }
+
+    #[test]
+    fn multi_rhs_first_flush_is_admitted_at_once() {
+        use VerifyDecision::*;
+        let (warm_cfg, catalog, cache) = warm_tier_cfg();
+        let plans = PlanCache::new();
+        let metrics = ServiceMetrics::new();
+        let system: TridiagonalSystem<f32> =
+            Generator::new(83).system(Workload::DiagonallyDominant, 128);
+        let first = serve_rounds(&system, 8, 1, &plans, &metrics, &warm_cfg);
+        assert_eq!(first, vec![Sampled], "eight systems of one key are a second sighting");
+        assert_eq!((catalog.len(), cache.stats().entries), (1, 1), "inserted at once");
+        let rest = serve_rounds(&system, 8, 4, &plans, &metrics, &warm_cfg);
+        assert_eq!(rest, vec![Skip, Skip, Skip, Sampled]);
+        let snap = metrics.snapshot(0, 0, 0);
+        assert_eq!((snap.factor_misses, snap.factor_hits), (1, 4));
+    }
+
+    #[test]
+    fn resident_keys_stay_warm_after_their_slot_is_overwritten() {
+        use VerifyDecision::*;
+        let (warm_cfg, _catalog, _cache) = warm_tier_cfg();
+        let plans = PlanCache::new();
+        let metrics = ServiceMetrics::new();
+        let system: TridiagonalSystem<f32> =
+            Generator::new(84).system(Workload::DiagonallyDominant, 64);
+        let fp = tridiag_core::MatrixKey::of_system(&system).fingerprint();
+        assert_eq!(
+            serve_rounds(&system, 1, 3, &plans, &metrics, &warm_cfg),
+            vec![Full, Sampled, Skip]
+        );
+        // Another key takes the slot: the next flush is not a repeat
+        // sighting, but the memoized certificate and the resident
+        // factorization are still used.
+        let slot = crate::sightings::slot_of(fp);
+        let rival = (1u64..).find(|&r| r != fp && crate::sightings::slot_of(r) == slot).unwrap();
+        assert!(!warm_cfg.sightings.record(rival));
+        let hits_before = metrics.snapshot(0, 0, 0).factor_hits;
+        assert_eq!(serve_rounds(&system, 1, 1, &plans, &metrics, &warm_cfg), vec![Skip]);
+        let snap = metrics.snapshot(0, 0, 0);
+        assert_eq!(snap.factor_hits, hits_before + 1, "served warm");
+        assert_eq!(snap.condest_calls, 1, "never re-analyzed");
+    }
+
+    #[test]
+    fn services_do_not_share_sightings() {
+        use VerifyDecision::*;
+        // Two services sharing one catalog and one cache, each with its
+        // own (default) sightings table.
+        let (service_a, catalog, cache) = warm_tier_cfg();
+        let service_b = DispatchConfig {
+            certified: Some(Arc::clone(&catalog)),
+            factor_cache: Some(Arc::clone(&cache)),
+            ..cfg()
+        };
+        let plans = PlanCache::new();
+        let metrics = ServiceMetrics::new();
+        let system: TridiagonalSystem<f32> =
+            Generator::new(85).system(Workload::DiagonallyDominant, 128);
+        assert_eq!(serve_rounds(&system, 1, 1, &plans, &metrics, &service_a), vec![Full]);
+        assert_eq!(
+            serve_rounds(&system, 1, 1, &plans, &metrics, &service_b),
+            vec![Full],
+            "service A's sighting must not admit the key on service B"
+        );
+        assert_eq!((catalog.len(), cache.stats().entries), (0, 0));
+        assert_eq!(serve_rounds(&system, 1, 1, &plans, &metrics, &service_b), vec![Sampled]);
+        assert_eq!((catalog.len(), cache.stats().entries), (1, 1));
     }
 
     #[test]

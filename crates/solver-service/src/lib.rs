@@ -64,6 +64,7 @@ pub mod planner;
 pub mod queue;
 pub mod request;
 pub mod service;
+pub mod sightings;
 pub mod trace;
 
 pub use batcher::{BucketTable, FlushReason, FlushedBatch};
@@ -80,4 +81,5 @@ pub use request::{
     SolveResponse, Ticket,
 };
 pub use service::{ServiceConfig, SolverService};
+pub use sightings::Sightings;
 pub use trace::{RejectReason, TraceEvent, TraceHandle, TraceSink};

@@ -80,8 +80,10 @@ pub struct ServiceConfig {
     pub verified: Option<Arc<kernel_verify::VerifiedCatalog>>,
     /// Factorization cache for the warm serving tier. When set, every
     /// admitted system is identity-hashed (structure tag + content hash),
-    /// requests sharing a matrix batch together, and a flush whose matrix
-    /// is already factored skips elimination — back-substitution only.
+    /// requests sharing a matrix batch together, a matrix is factored on
+    /// its key's second sighting (a repeat flush, or one flush of several
+    /// systems), and a flush whose matrix is already factored skips
+    /// elimination — back-substitution only.
     /// `None` (the default) leaves every request unkeyed and the service's
     /// behaviour byte-identical to the cold-only service. Share one `Arc`
     /// across services to share factorizations between them.
@@ -89,7 +91,8 @@ pub struct ServiceConfig {
     /// Certified catalog for verify-skipping dispatch. When set, every
     /// admitted system is identity-hashed (like
     /// [`factor_cache`](Self::factor_cache)) and each matrix key is
-    /// statically analyzed exactly once; keys earning a
+    /// statically analyzed exactly once, on its second sighting (keys
+    /// seen once are served with full verification); keys earning a
     /// [`numeric_verify::NumericCertificate`] downgrade the per-answer
     /// residual verify to deterministic 1-in-K sampling (the NaN/Inf
     /// guard always runs), and a corruption caught on a sampled flush
@@ -260,6 +263,7 @@ impl<T: Real> SolverService<T> {
                 verified: config.verified,
                 factor_cache: config.factor_cache,
                 certified: config.certified,
+                sightings: Arc::new(crate::sightings::Sightings::new()),
                 max_attempts_per_engine: config.max_attempts_per_engine,
                 max_total_attempts: config.max_total_attempts,
                 backoff_base: config.backoff_base,

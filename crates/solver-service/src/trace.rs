@@ -232,8 +232,8 @@ pub enum TraceEvent {
         n: u64,
     },
     /// A flush carried a matrix key but the cache had no factorization;
-    /// one was computed, inserted, and the flush fell through to the
-    /// cold path.
+    /// on the key's second sighting one was computed and inserted, and
+    /// the flush fell through to the cold path.
     FactorMiss {
         /// Decision tick.
         at: Tick,
@@ -250,9 +250,11 @@ pub enum TraceEvent {
         /// Fingerprint of the evicted entry's key.
         key: u64,
     },
-    /// A matrix key was analyzed (exactly once) and the verdict recorded
-    /// in the certified catalog — emitted for certified *and* uncertified
-    /// outcomes, so replay shows every analysis.
+    /// A matrix key was analyzed (exactly once, on its second sighting)
+    /// and the verdict recorded in the certified catalog — emitted for
+    /// certified *and* uncertified outcomes, so replay shows every
+    /// analysis. A key seen only once is never analyzed: its flush shows
+    /// a `FactorMiss` with no `CertIssued` and no insert.
     CertIssued {
         /// Decision tick.
         at: Tick,

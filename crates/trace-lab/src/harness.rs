@@ -35,7 +35,7 @@ use solver_service::{
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
-use tridiag_core::{Generator, MatrixKey, TridiagonalSystem, Workload};
+use tridiag_core::{splitmix64_next, Generator, MatrixKey, TridiagonalSystem, Workload};
 
 /// What one harness run measured, alongside the event stream.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,14 +66,6 @@ pub struct RunOutput {
 
 /// Residual bound a served f32 answer must beat to count as correct.
 const RESIDUAL_BOUND: f64 = 1e-2;
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Emits the Flush event and serves the batch synchronously — the
 /// single-threaded analogue of `route_flush` + a worker pop.
@@ -174,10 +166,10 @@ pub fn run(scenario: &Scenario) -> RunOutput {
         // can make further arrivals due — that's the single server being
         // busy, and it is equally deterministic.)
         while i < arrivals.len() && arrivals[i] <= clock.now() {
-            let n = scenario.sizes[(splitmix64(&mut size_rng) as usize) % scenario.sizes.len()]
+            let n = scenario.sizes[(splitmix64_next(&mut size_rng) as usize) % scenario.sizes.len()]
                 .max(2) as usize;
             let (system, matrix_key) = if scenario.matrix_pool > 0 {
-                let slot = splitmix64(&mut size_rng) % scenario.matrix_pool;
+                let slot = splitmix64_next(&mut size_rng) % scenario.matrix_pool;
                 let (template, key) = pool.entry((n, slot)).or_insert_with(|| {
                     let mut g = Generator::new(
                         scenario.seed ^ slot.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ n as u64,

@@ -15,15 +15,27 @@
 //!   plus the handful of defining constants, so two clients that build
 //!   the same Toeplitz operator from scratch unify without hashing 3n
 //!   floats twice.
-//! * a content hash (FNV-1a over the exact bit patterns) as the general
-//!   fallback, so *any* repeated matrix unifies even when it has no
-//!   recognizable structure.
+//! * a content hash as the general fallback, so *any* repeated matrix
+//!   unifies even when it has no recognizable structure. Each diagonal
+//!   feeds its own lane, one whole element bit pattern per
+//!   [`splitmix64`] step, and the three lanes fold into the key at the
+//!   end. The lanes are independent dependency chains, so the hash runs
+//!   at the mixer's throughput rather than its latency.
 //!
-//! Keys are advisory: a 64-bit hash collision would alias two different
-//! matrices, which is why every consumer of a cached factorization must
-//! residual-verify its answers (the service does) — a collision then
-//! degrades to a repaired cache miss, never a wrong answer.
+//! Keys are load-bearing. The service residual-verifies every answer
+//! *except* on a certificate's `Skip` flushes, which keep only the
+//! NaN/Inf guard: there a 64-bit collision between a certified matrix
+//! and another one would serve the other matrix from the wrong
+//! certificate and factorization, unchecked until the next 1-in-K
+//! sampled flush. So the general hash must not collide in practice.
+//! Every step of a lane is a bijection of the lane state, so changing any
+//! single element of a general matrix is *guaranteed* to change its key;
+//! the property tests in `tests/factor_props.rs` also check one-ulp
+//! perturbations, swaps within a diagonal, exchanging the `a` and `c`
+//! diagonals, and that 100,000 distinct general matrices get 100,000
+//! distinct fingerprints.
 
+use crate::mix::splitmix64;
 use crate::real::Real;
 use crate::system::TridiagonalSystem;
 
@@ -89,8 +101,9 @@ pub struct MatrixKey {
     pub element_bytes: usize,
     /// Detected symbolic structure.
     pub tag: StructureTag,
-    /// FNV-1a digest: over the defining constants for structured tags,
-    /// over every element's bit pattern for [`StructureTag::General`].
+    /// Content digest: FNV-1a over the defining constants for structured
+    /// tags, three [`splitmix64`] lanes over every element's bit pattern
+    /// for [`StructureTag::General`].
     pub hash: u64,
 }
 
@@ -107,8 +120,15 @@ impl MatrixKey {
         h = fnv_u64(h, tag.discriminant());
         match tag {
             StructureTag::General => {
-                for v in a.iter().chain(b).chain(c) {
-                    h = fnv_u64(h, v.to_f64().to_bits());
+                // One lane per diagonal, one element per mixer step.
+                let mut lanes = [h ^ 1, h ^ 2, h ^ 3];
+                for ((x, y), z) in a.iter().zip(b).zip(c) {
+                    lanes[0] = splitmix64(lanes[0] ^ x.to_f64().to_bits());
+                    lanes[1] = splitmix64(lanes[1] ^ y.to_f64().to_bits());
+                    lanes[2] = splitmix64(lanes[2] ^ z.to_f64().to_bits());
+                }
+                for lane in lanes {
+                    h = splitmix64(h ^ lane);
                 }
             }
             StructureTag::Toeplitz | StructureTag::UniformPoisson => {

@@ -20,6 +20,7 @@ pub mod certificate;
 pub mod complexity;
 pub mod error;
 pub mod identity;
+pub mod mix;
 pub mod periodic;
 pub mod real;
 pub mod residual;
@@ -32,6 +33,7 @@ pub use certificate::NumericCertificate;
 pub use complexity::{table1, Algorithm, ComplexityRow, ParseAlgorithmError};
 pub use error::{require_pow2, Result, TridiagError};
 pub use identity::{structure_tag, MatrixKey, StructureTag};
+pub use mix::{splitmix64, splitmix64_next};
 pub use periodic::PeriodicTridiagonalSystem;
 pub use real::Real;
 pub use system::TridiagonalSystem;

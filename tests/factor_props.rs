@@ -2,14 +2,17 @@
 //! warm solve must agree with a fresh cold solve to residual tolerance
 //! for every warm engine and both element widths; LRU eviction must
 //! round-trip through refactorization; and matrix identity must never
-//! unify two different matrices, however a structured one is perturbed.
+//! unify two different matrices, however a structured one is perturbed,
+//! and whatever single edit — one ulp, a swap, an exchange of the off
+//! diagonals — is made to a general one.
 
 use cpu_solvers::ThomasFactors;
 use factor_cache::FactorCache;
 use gpu_sim::Launcher;
 use proptest::prelude::*;
+use std::collections::HashSet;
 use tridiag_core::residual::l2_residual;
-use tridiag_core::{MatrixKey, Real, TridiagonalSystem};
+use tridiag_core::{splitmix64_next, MatrixKey, Real, StructureTag, TridiagonalSystem};
 
 /// Strategy: a strictly diagonally dominant system of size `n` (f64;
 /// tests downcast to f32 where needed).
@@ -167,5 +170,135 @@ proptest! {
             idx,
             before.tag
         );
+    }
+}
+
+/// One ulp away from zero: the smallest change a stored element can take.
+trait Ulp: Real {
+    fn next_ulp(self) -> Self;
+}
+
+impl Ulp for f32 {
+    fn next_ulp(self) -> Self {
+        f32::from_bits(self.to_bits() + 1)
+    }
+}
+
+impl Ulp for f64 {
+    fn next_ulp(self) -> Self {
+        f64::from_bits(self.to_bits() + 1)
+    }
+}
+
+/// Diagonals `[a, b, c]` of size `n` with every element, corners
+/// included, drawn uniformly from `[-2, 2)` by the SplitMix64 stream of
+/// `seed` — no structure tag fits, so the key hashes every element.
+fn random_diagonals<T: Real>(n: usize, seed: u64) -> [Vec<T>; 3] {
+    let mut state = seed;
+    let mut diagonal = || -> Vec<T> {
+        (0..n)
+            .map(|_| {
+                let unit = (splitmix64_next(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
+                T::from_f64(4.0 * unit - 2.0)
+            })
+            .collect()
+    };
+    [diagonal(), diagonal(), diagonal()]
+}
+
+fn fingerprint<T: Real>([a, b, c]: &[Vec<T>; 3]) -> u64 {
+    MatrixKey::of(a, b, c).fingerprint()
+}
+
+/// Each single edit of a general matrix must move its key: one ulp on
+/// element `i` of diagonal `which`, swapping elements `i` and `j` of that
+/// diagonal, and exchanging the `a` and `c` diagonals.
+fn every_edit_moves_the_key<T: Ulp>(
+    n: usize,
+    seed: u64,
+    which: usize,
+    i: usize,
+    j: usize,
+) -> Result<(), String> {
+    let base = random_diagonals::<T>(n, seed);
+    let [a, b, c] = &base;
+    if MatrixKey::of(a, b, c).tag != StructureTag::General {
+        return Err(format!("n={n} seed={seed}: random diagonals were tagged structured"));
+    }
+    let key = fingerprint(&base);
+    let diag = ["a", "b", "c"][which];
+
+    let mut bumped = base.clone();
+    bumped[which][i] = bumped[which][i].next_ulp();
+    if fingerprint(&bumped) == key {
+        return Err(format!("{} n={n}: one ulp on {diag}[{i}] kept the key", T::NAME));
+    }
+    if base[which][i] != base[which][j] {
+        let mut swapped = base.clone();
+        swapped[which].swap(i, j);
+        if fingerprint(&swapped) == key {
+            return Err(format!(
+                "{} n={n}: swapping {diag}[{i}], {diag}[{j}] kept the key",
+                T::NAME
+            ));
+        }
+    }
+    let exchanged = [base[2].clone(), base[1].clone(), base[0].clone()];
+    if fingerprint(&exchanged) == key {
+        return Err(format!("{} n={n}: exchanging a and c kept the key", T::NAME));
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn any_single_edit_moves_a_general_key_f32(
+        n in 3usize..=512,
+        seed in any::<u64>(),
+        which in 0usize..3,
+        at in any::<usize>(),
+        step in any::<usize>(),
+    ) {
+        let (i, j) = (at % n, (at + 1 + step % (n - 1)) % n);
+        if let Err(msg) = every_edit_moves_the_key::<f32>(n, seed, which, i, j) {
+            prop_assert!(false, "{msg}");
+        }
+    }
+
+    #[test]
+    fn any_single_edit_moves_a_general_key_f64(
+        n in 3usize..=512,
+        seed in any::<u64>(),
+        which in 0usize..3,
+        at in any::<usize>(),
+        step in any::<usize>(),
+    ) {
+        let (i, j) = (at % n, (at + 1 + step % (n - 1)) % n);
+        if let Err(msg) = every_edit_moves_the_key::<f64>(n, seed, which, i, j) {
+            prop_assert!(false, "{msg}");
+        }
+    }
+}
+
+#[test]
+fn distinct_general_matrices_get_distinct_fingerprints() {
+    const MATRICES: u64 = 100_000;
+    let mut seen = HashSet::with_capacity(MATRICES as usize);
+    for i in 0..MATRICES {
+        let n = 3 + (i % 30) as usize;
+        // b[0] = i makes every matrix distinct by construction (exact in
+        // both widths); the rest is random.
+        let fp = if i % 2 == 0 {
+            let mut d = random_diagonals::<f32>(n, i);
+            d[1][0] = i as f32;
+            fingerprint(&d)
+        } else {
+            let mut d = random_diagonals::<f64>(n, i);
+            d[1][0] = i as f64;
+            fingerprint(&d)
+        };
+        assert!(seen.insert(fp), "matrix {i} (n = {n}) collided with an earlier fingerprint");
     }
 }
