@@ -7,6 +7,12 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Every change states its net Rust line delta; print the total it is
+# measured from (tracked files only, so build output never counts).
+if git rev-parse --git-dir >/dev/null 2>&1; then
+    echo "==> Rust lines: $(git ls-files '*.rs' | xargs cat | wc -l)"
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 

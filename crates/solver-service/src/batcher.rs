@@ -17,6 +17,13 @@
 //!   deadline, or
 //! * the service is shutting down (everything admitted gets served).
 //!
+//! Buckets are keyed by size alone. Keyed requests (the factor cache or
+//! certified catalog is on) share their size class's bucket whatever
+//! their matrix: the dispatcher splits a flush by matrix key, serving
+//! recurring matrices as their own groups and every one-hit matrix in one
+//! cold batch, so distinct matrices still fill launches instead of each
+//! lingering alone.
+//!
 //! The bucketing logic lives in the pure, thread-free [`BucketTable`] so
 //! the edge cases (lone-request linger flush, size-class isolation, flush
 //! ordering) are deterministically testable; the service wraps it in a
@@ -105,20 +112,13 @@ impl<T: Real> Bucket<T> {
 /// Pure batching state machine: per-size buckets with target/linger flush
 /// and deadline-aware early flushing.
 ///
-/// Buckets are keyed `(n, group)` where `group` is the request's
-/// matrix-key fingerprint (0 for unkeyed requests): requests sharing a
-/// factored matrix coalesce into one flush the warm tier can serve with a
-/// single cached factorization, while unkeyed traffic — everything, when
-/// the factor cache is off — lands in `group` 0 and batches exactly as
-/// before.
-///
 /// All time is in [`Tick`]s from the service clock, and the buckets live
 /// in a `BTreeMap`: when several buckets expire on the same tick they
-/// flush in ascending `(size, group)` order, every run — a `HashMap` here
-/// would make the flush order (and therefore a captured decision trace)
-/// depend on the process's hash seed.
+/// flush in ascending size order, every run — a `HashMap` here would make
+/// the flush order (and therefore a captured decision trace) depend on the
+/// process's hash seed.
 pub struct BucketTable<T: Real> {
-    buckets: BTreeMap<(usize, u64), Bucket<T>>,
+    buckets: BTreeMap<usize, Bucket<T>>,
     target_batch: usize,
     max_linger: Tick,
     deadline_slack: Tick,
@@ -151,13 +151,11 @@ impl<T: Real> BucketTable<T> {
         self.buckets.values().map(|b| b.requests.len()).sum()
     }
 
-    /// Adds `request` to its `(size, matrix-group)` bucket; returns the
-    /// batch when the bucket reaches the target size.
+    /// Adds `request` to its size-class bucket; returns the batch when the
+    /// bucket reaches the target size.
     pub fn insert(&mut self, request: SolveRequest<T>, now: Tick) -> Option<FlushedBatch<T>> {
         let n = request.system.n();
-        let group = request.matrix_key.map_or(0, |k| k.fingerprint());
-        let key = (n, group);
-        let bucket = self.buckets.entry(key).or_insert_with(|| Bucket {
+        let bucket = self.buckets.entry(n).or_insert_with(|| Bucket {
             requests: Vec::new(),
             oldest: now,
             earliest_deadline: None,
@@ -172,7 +170,7 @@ impl<T: Real> BucketTable<T> {
         }
         bucket.requests.push(request);
         if bucket.requests.len() >= self.target_batch {
-            let bucket = self.buckets.remove(&key).expect("bucket just touched");
+            let bucket = self.buckets.remove(&n).expect("bucket just touched");
             return Some(FlushedBatch { n, requests: bucket.requests, reason: FlushReason::Full });
         }
         None
@@ -189,29 +187,30 @@ impl<T: Real> BucketTable<T> {
     /// oldest member has waited `max_linger`, or because a member deadline
     /// (minus slack) would not survive more lingering.
     pub fn flush_expired(&mut self, now: Tick) -> Vec<FlushedBatch<T>> {
-        let expired: Vec<(usize, u64)> = self
+        let expired: Vec<usize> = self
             .buckets
             .iter()
             .filter(|(_, b)| now >= b.flush_at(self.max_linger, self.deadline_slack))
-            .map(|(&key, _)| key)
+            .map(|(&n, _)| n)
             .collect();
         let mut out = Vec::with_capacity(expired.len());
-        for key in expired {
-            let bucket = self.buckets.remove(&key).expect("listed above");
+        for n in expired {
+            let bucket = self.buckets.remove(&n).expect("listed above");
             let reason = bucket.flush_reason(now, self.max_linger);
-            out.push(FlushedBatch { n: key.0, requests: bucket.requests, reason });
+            out.push(FlushedBatch { n, requests: bucket.requests, reason });
         }
         out
     }
 
-    /// Flushes everything, regardless of size or age — shutdown drain.
+    /// Flushes everything, regardless of size or age — shutdown drain, in
+    /// ascending size order.
     pub fn flush_all(&mut self) -> Vec<FlushedBatch<T>> {
-        let mut keys: Vec<(usize, u64)> = self.buckets.keys().copied().collect();
-        keys.sort_unstable(); // deterministic drain order
-        keys.into_iter()
-            .map(|key| {
-                let bucket = self.buckets.remove(&key).expect("listed above");
-                FlushedBatch { n: key.0, requests: bucket.requests, reason: FlushReason::Shutdown }
+        std::mem::take(&mut self.buckets)
+            .into_iter()
+            .map(|(n, bucket)| FlushedBatch {
+                n,
+                requests: bucket.requests,
+                reason: FlushReason::Shutdown,
             })
             .collect()
     }
@@ -337,28 +336,26 @@ mod tests {
     }
 
     #[test]
-    fn keyed_requests_bucket_by_matrix_not_just_size() {
+    fn keyed_requests_share_their_size_class_bucket() {
         use tridiag_core::MatrixKey;
-        let mut table = BucketTable::new(2, Duration::from_millis(100));
+        let mut table = BucketTable::new(3, Duration::from_millis(100));
         let sys_a = TridiagonalSystem::<f32>::toeplitz(64, -1.0, 4.0, -1.0, 1.0).unwrap();
         let sys_b = TridiagonalSystem::<f32>::toeplitz(64, -1.0, 5.0, -1.0, 1.0).unwrap();
         let key_a = MatrixKey::of::<f32>(&sys_a.a, &sys_a.b, &sys_a.c);
         let key_b = MatrixKey::of::<f32>(&sys_b.a, &sys_b.b, &sys_b.c);
-        assert_ne!(key_a.fingerprint(), key_b.fingerprint());
+        assert_ne!(key_a, key_b);
         let keyed = |id, sys: &TridiagonalSystem<f32>, key| {
             crate::request::make_request_keyed(id, sys.clone(), 0, None, Some(key)).0
         };
-        // Same size class, different matrices: never co-batched.
+        // Two matrices and an unkeyed request of one size: one bucket,
+        // filled in arrival order.
         assert!(table.insert(keyed(0, &sys_a, key_a), 0).is_none());
         assert!(table.insert(keyed(1, &sys_b, key_b), 0).is_none());
-        let flush = table.insert(keyed(2, &sys_a, key_a), 0).expect("matrix-A bucket fills");
-        assert_eq!(flush.requests.len(), 2);
-        assert!(flush.requests.iter().all(|r| r.matrix_key == Some(key_a)));
-        // The matrix-B request still waits, and an unkeyed request lands in
-        // its own group-0 bucket rather than joining either matrix.
-        assert_eq!(table.pending(), 1);
-        assert!(table.insert(req(3, 64), 0).is_none());
-        assert_eq!(table.pending(), 2);
+        let flush = table.insert(req(2, 64), 0).expect("the size-64 bucket fills");
+        assert_eq!(flush.n, 64);
+        let keys: Vec<_> = flush.requests.iter().map(|r| r.matrix_key).collect();
+        assert_eq!(keys, vec![Some(key_a), Some(key_b), None]);
+        assert_eq!(table.pending(), 0);
     }
 
     #[test]

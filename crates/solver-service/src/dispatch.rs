@@ -3,12 +3,21 @@
 //!
 //! Routing policy, in order:
 //!
-//! 1. **Small flushes go to the CPU.** A linger-flushed batch of one or
-//!    two systems cannot amortize a kernel launch + PCIe round trip; below
+//! 0. **A flush is split by matrix.** The batcher buckets by size alone;
+//!    with the warm tier on, a matrix key that is resident in the factor
+//!    cache, certified, or admitted (seen before, or twice in this flush)
+//!    is served as its own group — warm hit, or cold with its
+//!    certificate's verify policy — and every other member (one-hit keys,
+//!    unkeyed requests) rides one cold group with full verification. The
+//!    rules below apply per group.
+//! 1. **Small groups go to the CPU.** A group of one or two systems
+//!    cannot amortize a kernel launch + PCIe round trip; below
 //!    `min_gpu_batch` the dispatcher overrides the cached plan with the
 //!    sequential Thomas solver.
 //! 2. **Otherwise the [`PlanCache`] decides** — autotuned once per size
-//!    class, O(1) afterwards.
+//!    class (pruned by the PCIe floor), O(1) afterwards. CPU groups are
+//!    solved straight from the requests; only GPU engines copy the group
+//!    into a batch.
 //! 3. **Every answer is verified.** GPU batches run through
 //!    [`solve_batch_robust`] (the repo's verify-and-repair wrapper); CPU
 //!    batches get the same residual acceptance test with per-system GEP
@@ -35,7 +44,7 @@
 //!    fault, and degradation is counted into the metrics — degradation is
 //!    observable, never silent.
 
-use crate::batcher::FlushedBatch;
+use crate::batcher::{FlushReason, FlushedBatch};
 use crate::breaker::{Admission, CircuitBreakers};
 use crate::metrics::ServiceMetrics;
 use crate::planner::{CpuEngine, Engine, PlanCache};
@@ -49,6 +58,7 @@ use gpu_sim::{tick_duration, Clock, Launcher};
 use gpu_solvers::{solve_batch_robust, GpuAlgorithm, RobustOptions};
 use kernel_verify::VerifiedCatalog;
 use numeric_verify::{CertifiedCatalog, VerifyDecision};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 use tridiag_core::residual::l2_residual;
@@ -81,19 +91,20 @@ pub struct DispatchConfig {
     /// and `Violated` verdicts keep the dynamic sanitizer in charge.
     /// `None` (the default) sanitizes every first flush dynamically.
     pub verified: Option<Arc<VerifiedCatalog>>,
-    /// Factorization cache for the warm serving tier. When set, a flush
-    /// whose requests all carry the same matrix key is served from the
-    /// cached elimination coefficients — back-substitution only, no
-    /// elimination — with a miss on an admitted key (see
-    /// [`sightings`](Self::sightings)) factoring the matrix once and
-    /// falling through to the cold path. `None` (the default) disables
-    /// the warm tier entirely; every existing dispatch decision is
-    /// unchanged.
+    /// Factorization cache for the warm serving tier. When set, each
+    /// flush is split by matrix key, and a key's group whose matrix is
+    /// resident is served from the cached elimination coefficients —
+    /// back-substitution only, no elimination — with a miss on an
+    /// admitted key (see [`sightings`](Self::sightings)) factoring the
+    /// matrix once and falling through to the cold path. `None` (the
+    /// default, with no `certified` catalog either) disables the warm
+    /// tier entirely: a flush is one group.
     pub factor_cache: Option<Arc<SharedFactorCache>>,
-    /// Numerical-safety certificate catalog. When set, a keyed flush is
-    /// statically analyzed once per matrix identity, on the key's second
-    /// sighting; certified matrices downgrade the per-answer residual
-    /// verify to deterministic 1-in-K *sampled* verification (skipped
+    /// Numerical-safety certificate catalog. When set, each matrix key is
+    /// statically analyzed once, on its second sighting, and served as its
+    /// own dispatch group from then on; certified matrices downgrade the
+    /// per-answer residual verify to deterministic 1-in-K *sampled*
+    /// verification (skipped
     /// answers keep the NaN/Inf guard and report the certificate's
     /// a-priori forward-error bound), and a corruption caught on any
     /// verified flush revokes the certificate. `None` (the default) keeps
@@ -192,10 +203,16 @@ impl<'a> DeviceCtx<'a> {
     }
 }
 
-/// Serves one flushed batch end to end: plan → execute → verify/repair →
-/// fulfil tickets → record metrics. Infallible by design: any engine
-/// error degrades to the per-system GEP path rather than dropping
-/// requests.
+/// Serves one flushed batch end to end: split by matrix → plan → execute
+/// → verify/repair → fulfil tickets → record metrics. Infallible by
+/// design: any engine error degrades to the per-system GEP path rather
+/// than dropping requests.
+///
+/// The batcher buckets by size alone, so with the warm tier on (a factor
+/// cache or certified catalog) one flush may hold many matrices; see
+/// [`split_by_matrix`] for how it is cut into dispatch groups. Each group
+/// is planned, executed and accounted on its own (one `Served` event per
+/// group); the flush itself counts once in `flushes_<reason>`.
 pub fn serve_flush<T: Real>(
     device: DeviceCtx<'_>,
     plans: &PlanCache,
@@ -204,33 +221,136 @@ pub fn serve_flush<T: Real>(
     cfg: &DispatchConfig,
     flush: FlushedBatch<T>,
 ) {
-    let launcher = device.launcher;
     let FlushedBatch { n, requests, reason } = flush;
-    let occupancy = requests.len();
-    debug_assert!(occupancy > 0, "empty flush");
+    debug_assert!(!requests.is_empty(), "empty flush");
+    metrics.on_flush(reason);
+    let groups = split_by_matrix(&requests, n, metrics, cfg);
+    let mut slots: Vec<Option<SolveRequest<T>>> = requests.into_iter().map(Some).collect();
+    for group in groups {
+        serve_group(&device, plans, breakers, metrics, cfg, n, reason, group, &mut slots);
+    }
+}
 
-    // Admission: the warm tier's write side — the certificate analysis
-    // and the factor insert — runs only on a key's second sighting (a
-    // flush with ≥ 2 systems of the key, or a repeat flush; see
-    // `crate::sightings`). A one-hit key is served like an uncertified
-    // one: cold, with full per-answer verification. Reads are never
-    // gated: a memoized certificate or a resident factorization is always
-    // used. Unkeyed flushes (and any flush without a catalog or cache)
-    // keep full verification.
-    let matrix_key = (cfg.factor_cache.is_some() || cfg.certified.is_some())
-        .then(|| shared_matrix_key(&requests))
-        .flatten();
-    let admitted =
-        matrix_key.is_some_and(|key| cfg.sightings.record(key.fingerprint()) || occupancy >= 2);
+/// One dispatch group of a flush: its members, as indices into the flush
+/// in request order, and — for a matrix served through the warm tier on
+/// its own — that matrix's key.
+struct Group<T: Real> {
+    members: Vec<usize>,
+    keyed: Option<KeyedGroup<T>>,
+}
+
+/// A matrix key served as its own group.
+struct KeyedGroup<T: Real> {
+    key: MatrixKey,
+    /// A repeat sighting, or at least two members in this flush: the
+    /// warm tier's write side (certificate analysis, factor insert) runs.
+    admitted: bool,
+    /// The key's one factor-cache lookup (`None` on a miss, or without a
+    /// cache).
+    entry: Option<FactorEntry<T>>,
+}
+
+/// Cuts a flush into dispatch groups by full [`MatrixKey`]. Each distinct
+/// key's sighting is recorded once and its factorization looked up once.
+/// A key that is resident in the cache, holds a certificate, or is
+/// admitted (a repeat sighting, or ≥ 2 members here) is its own group,
+/// served through the warm tier as before. Every other member — one-hit
+/// keys (their `FactorMiss` counted here) and unkeyed requests — rides
+/// one cold group with full verification, so distinct matrices still
+/// share a launch. Without a cache or catalog the flush is one group.
+/// Groups come out in the order of their first member.
+fn split_by_matrix<T: Real>(
+    requests: &[SolveRequest<T>],
+    n: usize,
+    metrics: &ServiceMetrics,
+    cfg: &DispatchConfig,
+) -> Vec<Group<T>> {
+    if cfg.factor_cache.is_none() && cfg.certified.is_none() {
+        return vec![Group { members: (0..requests.len()).collect(), keyed: None }];
+    }
+    let mut by_key: Vec<(MatrixKey, Vec<usize>)> = Vec::new();
+    let mut slot_of: HashMap<MatrixKey, usize> = HashMap::new();
+    let mut cold = Vec::new();
+    for (i, request) in requests.iter().enumerate() {
+        let Some(key) = request.matrix_key else {
+            cold.push(i);
+            continue;
+        };
+        let slot = *slot_of.entry(key).or_insert_with(|| {
+            by_key.push((key, Vec::new()));
+            by_key.len() - 1
+        });
+        by_key[slot].1.push(i);
+    }
+
+    let cache = cfg.factor_cache.as_ref().map(|shared| shared.of::<T>());
+    let mut groups = Vec::with_capacity(by_key.len() + 1);
+    for (key, members) in by_key {
+        let admitted = cfg.sightings.record(key.fingerprint()) || members.len() >= 2;
+        let entry = cache.as_ref().and_then(|cache| cache.lookup(&key));
+        let analyzed = cfg.certified.as_ref().is_some_and(|c| c.certificate(&key).is_some());
+        if admitted || entry.is_some() || analyzed {
+            groups.push(Group { members, keyed: Some(KeyedGroup { key, admitted, entry }) });
+            continue;
+        }
+        if cache.is_some() {
+            factor_miss(&key, n, metrics, cfg);
+        }
+        cold.extend(members);
+    }
+    if !cold.is_empty() {
+        cold.sort_unstable();
+        groups.push(Group { members: cold, keyed: None });
+    }
+    groups.sort_unstable_by_key(|g| g.members[0]);
+    groups
+}
+
+/// Counts and traces one factor-cache miss on `key`.
+fn factor_miss(key: &MatrixKey, n: usize, metrics: &ServiceMetrics, cfg: &DispatchConfig) {
+    cfg.trace.emit(|| TraceEvent::FactorMiss {
+        at: cfg.clock.now(),
+        key: key.fingerprint(),
+        n: n as u64,
+    });
+    metrics.on_factor_miss();
+}
+
+/// Serves one dispatch group and fulfils its members' tickets (taken out
+/// of `slots`).
+#[allow(clippy::too_many_arguments)] // internal dispatch plumbing; grouping would add a one-use struct
+fn serve_group<T: Real>(
+    device: &DeviceCtx<'_>,
+    plans: &PlanCache,
+    breakers: &CircuitBreakers,
+    metrics: &ServiceMetrics,
+    cfg: &DispatchConfig,
+    n: usize,
+    reason: FlushReason,
+    group: Group<T>,
+    slots: &mut [Option<SolveRequest<T>>],
+) {
+    let launcher = device.launcher;
+    let Group { members, keyed } = group;
+    let occupancy = members.len();
+    let matrix_key = keyed.as_ref().map(|k| k.key);
+    let admitted = keyed.as_ref().is_some_and(|k| k.admitted);
+    // The group's systems, borrowed from the requests: CPU engines solve
+    // them in place, and only GPU engines pay for a batched copy.
+    let systems: Vec<&TridiagonalSystem<T>> = members
+        .iter()
+        .map(|&i| &slots[i].as_ref().expect("each member is served once").system)
+        .collect();
 
     // Certification: an admitted or already-analyzed key consults the
     // certificate catalog, whose deterministic 1-in-K policy decides how
-    // much verification this flush pays.
+    // much verification this group pays. One-hit and unkeyed members keep
+    // full verification.
     let mut policy = VerifyPolicy::full(cfg.threshold_scale);
     let mut certificate = NumericCertificate::Uncertified;
     let observation = match (&cfg.certified, matrix_key) {
         (Some(catalog), Some(key)) if admitted || catalog.certificate(&key).is_some() => {
-            Some((key, catalog.observe(key, &requests[0].system)))
+            Some((key, catalog.observe(key, systems[0])))
         }
         _ => None,
     };
@@ -281,55 +401,44 @@ pub fn serve_flush<T: Real>(
         }
     }
 
-    // Warm tier: a keyed flush (every member shares one matrix identity)
-    // checks the factorization cache first. A hit skips planning *and*
-    // elimination — the batch is served by back-substitution alone; a
-    // miss on an admitted key factors the matrix for next time, and every
-    // miss falls through cold.
+    // Warm tier: a keyed group whose factorization is resident skips
+    // planning *and* elimination — it is served by back-substitution
+    // alone; a miss on an admitted key factors the matrix for next time,
+    // and every miss falls through cold.
     let mut warm_outcome: Option<Outcome<T>> = None;
-    if let Some(shared) = &cfg.factor_cache {
-        if let Some(key) = matrix_key {
-            let cache = shared.of::<T>();
-            match cache.lookup(&key) {
-                Some(entry) => {
-                    cfg.trace.emit(|| TraceEvent::FactorHit {
-                        at: cfg.clock.now(),
-                        key: key.fingerprint(),
-                        n: n as u64,
-                    });
-                    metrics.on_factor_hit();
-                    warm_outcome = Some(warm_execute(
-                        &device, &cache, &key, &entry, &requests, cfg, metrics, &policy,
-                    ));
-                    metrics.on_warm_flush();
-                }
-                None => {
-                    cfg.trace.emit(|| TraceEvent::FactorMiss {
-                        at: cfg.clock.now(),
-                        key: key.fingerprint(),
-                        n: n as u64,
-                    });
-                    metrics.on_factor_miss();
-                    let sys = &requests[0].system;
-                    // Unfactorable matrices (zero pivot, non-finite) are
-                    // simply not cached; the cold path's verify/repair
-                    // machinery owns them. The entry carries the matrix's
-                    // certificate so warm hits stay certificate-aware.
-                    if admitted {
-                        if let Ok((_, evicted)) = cache.factor_and_insert_with_certificate(
-                            key,
-                            &sys.a,
-                            &sys.b,
-                            &sys.c,
-                            certificate,
-                        ) {
-                            metrics.on_factor_evictions(evicted.len() as u64);
-                            for fp in evicted {
-                                cfg.trace.emit(|| TraceEvent::FactorEvict {
-                                    at: cfg.clock.now(),
-                                    key: fp,
-                                });
-                            }
+    if let (Some(shared), Some(KeyedGroup { key, entry, .. })) = (&cfg.factor_cache, &keyed) {
+        let cache = shared.of::<T>();
+        match entry {
+            Some(entry) => {
+                cfg.trace.emit(|| TraceEvent::FactorHit {
+                    at: cfg.clock.now(),
+                    key: key.fingerprint(),
+                    n: n as u64,
+                });
+                metrics.on_factor_hit();
+                warm_outcome =
+                    Some(warm_execute(device, &cache, key, entry, &systems, cfg, metrics, &policy));
+                metrics.on_warm_flush();
+            }
+            None => {
+                factor_miss(key, n, metrics, cfg);
+                let sys = systems[0];
+                // Unfactorable matrices (zero pivot, non-finite) are
+                // simply not cached; the cold path's verify/repair
+                // machinery owns them. The entry carries the matrix's
+                // certificate so warm hits stay certificate-aware.
+                if admitted {
+                    if let Ok((_, evicted)) = cache.factor_and_insert_with_certificate(
+                        *key,
+                        &sys.a,
+                        &sys.b,
+                        &sys.c,
+                        certificate,
+                    ) {
+                        metrics.on_factor_evictions(evicted.len() as u64);
+                        for fp in evicted {
+                            cfg.trace
+                                .emit(|| TraceEvent::FactorEvict { at: cfg.clock.now(), key: fp });
                         }
                     }
                 }
@@ -337,10 +446,10 @@ pub fn serve_flush<T: Real>(
         }
     }
 
-    let outcome = if let Some(outcome) = warm_outcome {
+    let mut outcome = if let Some(outcome) = warm_outcome {
         outcome
     } else {
-        // Pinned engine wins outright; otherwise sub-critical flushes skip
+        // Pinned engine wins outright; otherwise sub-critical groups skip
         // planning entirely (they go to the CPU, and tuning a size class
         // the GPU may never see would waste the tournament).
         let engine = match cfg.pin_engine {
@@ -378,9 +487,7 @@ pub fn serve_flush<T: Real>(
             SanitizeDecision::NotApplicable => false,
         };
 
-        let systems: Vec<TridiagonalSystem<T>> =
-            requests.iter().map(|r| r.system.clone()).collect();
-        execute(&device, engine, &fallbacks, breakers, &systems, cfg, sanitize, &policy)
+        execute(device, engine, &fallbacks, breakers, &systems, cfg, sanitize, &policy)
     };
 
     // A corruption caught while serving a certified key revokes its
@@ -398,8 +505,8 @@ pub fn serve_flush<T: Real>(
         }
     }
 
-    // Per-device accounting: GPU-served flushes accrue simulated busy time
-    // on the device that ran them (CPU-demoted flushes cost the device
+    // Per-device accounting: GPU-served groups accrue simulated busy time
+    // on the device that ran them (CPU-demoted groups cost the device
     // nothing).
     if !outcome.engine_label.starts_with("cpu") {
         device.note_dispatched(outcome.engine_ms);
@@ -408,13 +515,7 @@ pub fn serve_flush<T: Real>(
     if let Some((errors, warnings)) = outcome.sanitizer_findings {
         metrics.on_flush_sanitized(errors, warnings);
     }
-    metrics.on_batch_served(
-        &outcome.engine_label,
-        occupancy,
-        reason,
-        outcome.repairs,
-        outcome.engine_ms,
-    );
+    metrics.on_batch_served(&outcome.engine_label, occupancy, outcome.repairs, outcome.engine_ms);
     metrics.on_degradation(
         outcome.retries,
         outcome.device_faults,
@@ -439,7 +540,8 @@ pub fn serve_flush<T: Real>(
     });
 
     let now = cfg.clock.now();
-    for (i, request) in requests.into_iter().enumerate() {
+    for (j, &i) in members.iter().enumerate() {
+        let request = slots[i].take().expect("each member is served once");
         let latency = tick_duration(request.submitted_at, now);
         let deadline_missed = request.deadline.is_some_and(|d| now > d);
         if deadline_missed {
@@ -448,10 +550,10 @@ pub fn serve_flush<T: Real>(
         let id = request.id;
         request.fulfil(crate::request::SolveResponse {
             id,
-            x: outcome.solutions.system(i).to_vec(),
-            residual: outcome.residuals[i],
+            x: std::mem::take(&mut outcome.solutions[j]),
+            residual: outcome.residuals[j],
             engine: outcome.engine_label.clone(),
-            repaired: outcome.repaired_flags[i],
+            repaired: outcome.repaired_flags[j],
             batch_occupancy: occupancy,
             latency,
             deadline_missed,
@@ -532,7 +634,8 @@ impl VerifyPolicy {
 }
 
 struct Outcome<T: Real> {
-    solutions: SolutionBatch<T>,
+    /// One solution per system, moved into the responses.
+    solutions: Vec<Vec<T>>,
     residuals: Vec<f64>,
     repaired_flags: Vec<bool>,
     repairs: usize,
@@ -585,22 +688,25 @@ fn execute<T: Real>(
     engine: Engine,
     fallbacks: &[Engine],
     breakers: &CircuitBreakers,
-    systems: &[TridiagonalSystem<T>],
+    systems: &[&TridiagonalSystem<T>],
     cfg: &DispatchConfig,
     sanitize: bool,
     policy: &VerifyPolicy,
 ) -> Outcome<T> {
     let launcher = device.launcher;
-    let batch = SystemBatch::from_systems(systems).expect("flush holds >=1 same-size systems");
     let threshold_scale = policy.threshold_scale;
     // Degraded paths (sanitizer demotion, the GEP safety net) always pay
     // full verification regardless of certificates — a degraded flush has
     // already shown evidence that static assumptions may not hold.
     let full_policy = VerifyPolicy::full(cfg.threshold_scale);
     let first = match engine {
-        Engine::Cpu(cpu) => return cpu_execute(systems, &batch, cpu, policy, &cfg.clock),
+        Engine::Cpu(cpu) => return cpu_execute(systems, cpu, policy, &cfg.clock),
         Engine::Gpu(alg) => alg,
     };
+    // GPU engines take the group as one batched copy (CPU engines solve
+    // the borrowed systems in place, above).
+    let batch = SystemBatch::generate(systems.len(), |i| systems[i].clone())
+        .expect("flush holds >=1 same-size systems");
 
     // The candidate ladder: planned engine first, then every lower-ranked
     // GPU candidate from the tournament (CPU entries are implicit — the
@@ -663,13 +769,8 @@ fn execute<T: Real>(
                         if errors > 0 {
                             // The kernel is unsound on this traffic: fall
                             // back to the CPU rather than serve its output.
-                            let mut out = cpu_execute(
-                                systems,
-                                &batch,
-                                CpuEngine::Gep,
-                                &full_policy,
-                                &cfg.clock,
-                            );
+                            let mut out =
+                                cpu_execute(systems, CpuEngine::Gep, &full_policy, &cfg.clock);
                             out.sanitizer_findings = findings;
                             out.retries = retries;
                             out.device_faults = device_faults;
@@ -693,7 +794,7 @@ fn execute<T: Real>(
                     let engine_ms = report.gpu.timing.total_ms();
                     let corruptions = report.gpu.corruption_count() as u64;
                     return Outcome {
-                        solutions: report.gpu.solutions,
+                        solutions: split_solutions(&report.gpu.solutions),
                         residuals,
                         repairs: report.repaired.len(),
                         repaired_flags,
@@ -739,7 +840,7 @@ fn execute<T: Real>(
     // Every GPU avenue is exhausted (or denied): the pivoted CPU safety
     // net serves the flush. This is the graceful-degradation terminal —
     // correct answers, observable cost.
-    let mut out = cpu_execute(systems, &batch, CpuEngine::Gep, &full_policy, &cfg.clock);
+    let mut out = cpu_execute(systems, CpuEngine::Gep, &full_policy, &cfg.clock);
     out.retries = retries;
     out.device_faults = device_faults;
     out.degraded = true;
@@ -776,15 +877,6 @@ pub(crate) fn sim_cpu_warm_ns(n: usize, count: usize) -> u64 {
     (n as u64).saturating_mul(count as u64).saturating_mul(16)
 }
 
-/// The matrix key shared by *every* request in the flush, or `None` when
-/// any member is unkeyed or keys disagree (the batcher groups by key
-/// fingerprint, so disagreement means a fingerprint collision — rare, and
-/// safely served cold).
-fn shared_matrix_key<T: Real>(requests: &[SolveRequest<T>]) -> Option<MatrixKey> {
-    let first = requests.first()?.matrix_key?;
-    requests.iter().all(|r| r.matrix_key == Some(first)).then_some(first)
-}
-
 /// Serves one keyed flush from a cached factorization: GPU warm kernel
 /// when the batch clears `min_gpu_batch` (falling back to the CPU sweep
 /// on a device fault), CPU sweep otherwise. Every solution passes the
@@ -802,13 +894,13 @@ fn warm_execute<T: Real>(
     cache: &FactorCache<T>,
     key: &MatrixKey,
     entry: &FactorEntry<T>,
-    requests: &[SolveRequest<T>],
+    systems: &[&TridiagonalSystem<T>],
     cfg: &DispatchConfig,
     metrics: &ServiceMetrics,
     policy: &VerifyPolicy,
 ) -> Outcome<T> {
     let n = entry.thomas.n();
-    let count = requests.len();
+    let count = systems.len();
     let mut device_faults = 0u64;
     let mut gpu_degraded = false;
     let started = std::time::Instant::now();
@@ -817,13 +909,13 @@ fn warm_execute<T: Real>(
     // to the CPU sweep below — warm flushes never ride the retry ladder
     // (there is no elimination to re-run; the substitution is cheap enough
     // that the CPU fallback is the faster recovery).
-    let mut gpu_result: Option<(SolutionBatch<T>, f64)> = None;
+    let mut gpu_result: Option<(Vec<Vec<T>>, f64)> = None;
     if count >= cfg.min_gpu_batch {
-        let rhs: Vec<&[T]> = requests.iter().map(|r| r.system.d.as_slice()).collect();
+        let rhs: Vec<&[T]> = systems.iter().map(|s| s.d.as_slice()).collect();
         match gpu_solvers::solve_batch_warm(device.launcher, &entry.thomas, &rhs) {
             Ok(report) => {
                 let ms = report.timing.total_ms();
-                gpu_result = Some((report.solutions, ms));
+                gpu_result = Some((split_solutions(&report.solutions), ms));
             }
             Err(e) if e.is_device_fault() => {
                 device_faults += 1;
@@ -841,10 +933,9 @@ fn warm_execute<T: Real>(
     let (mut solutions, engine_ms, engine_label) = match gpu_result {
         Some((solutions, ms)) => (solutions, ms, "warm-gpu".to_string()),
         None => {
-            let mut solutions = SolutionBatch::from_flat(n, count, vec![T::ZERO; n * count])
-                .expect("flush holds >=1 same-size systems");
-            for (i, req) in requests.iter().enumerate() {
-                entry.thomas.solve_into(&req.system.d, solutions.system_mut(i));
+            let mut solutions = vec![vec![T::ZERO; n]; count];
+            for (sys, x) in systems.iter().zip(&mut solutions) {
+                entry.thomas.solve_into(&sys.d, x);
             }
             let skip = policy.skips() && entry.certificate.is_certified();
             let ms = if cfg.clock.is_sim() {
@@ -869,9 +960,8 @@ fn warm_execute<T: Real>(
     let mut repaired_flags = vec![false; count];
     let mut repairs = 0usize;
     let mut corruptions = 0u64;
-    for (i, req) in requests.iter().enumerate() {
-        let sys = &req.system;
-        let x = solutions.system_mut(i);
+    for (i, &sys) in systems.iter().enumerate() {
+        let x = &mut solutions[i];
         let finite = x.iter().all(|v| v.is_finite());
         // Measured once: the residual that accepts an answer is the one
         // it reports.
@@ -918,22 +1008,21 @@ fn warm_execute<T: Real>(
 /// [`sim_cpu_ns`] (minus the [`SIM_VERIFY_NS_PER_ROW`] discount when
 /// skipping) on a simulated one.
 fn cpu_execute<T: Real>(
-    systems: &[TridiagonalSystem<T>],
-    batch: &SystemBatch<T>,
+    systems: &[&TridiagonalSystem<T>],
     cpu: CpuEngine,
     policy: &VerifyPolicy,
     clock: &Clock,
 ) -> Outcome<T> {
-    let n = batch.n();
+    let n = systems[0].n();
     let skip_verify = policy.skips();
-    let mut solutions = SolutionBatch::zeros_like(batch);
+    let mut solutions = vec![vec![T::ZERO; n]; systems.len()];
     let mut residuals = vec![0.0f64; systems.len()];
     let mut repaired_flags = vec![false; systems.len()];
     let mut repairs = 0usize;
     let started = std::time::Instant::now();
 
     for (i, sys) in systems.iter().enumerate() {
-        let x = solutions.system_mut(i);
+        let x = &mut solutions[i];
         let primary_ok = match cpu {
             CpuEngine::Thomas => thomas::solve_into(&sys.a, &sys.b, &sys.c, &sys.d, x).is_ok(),
             CpuEngine::Gep => gep::solve_into(&sys.a, &sys.b, &sys.c, &sys.d, x).is_ok(),
@@ -983,6 +1072,11 @@ fn cpu_execute<T: Real>(
         corruptions: 0,
         degraded: false,
     }
+}
+
+/// A batch's solutions, one `Vec` per system.
+fn split_solutions<T: Real>(batch: &SolutionBatch<T>) -> Vec<Vec<T>> {
+    (0..batch.count()).map(|i| batch.system(i).to_vec()).collect()
 }
 
 /// `‖Ax − d‖₂` of `x` (`+∞` if the shapes disagree).
@@ -1145,7 +1239,7 @@ mod tests {
             Engine::Gpu(GpuAlgorithm::Rd(gpu_solvers::RdMode::Plain)),
             &[],
             &CircuitBreakers::default(),
-            &systems,
+            &systems.iter().collect::<Vec<_>>(),
             &cfg(),
             false,
             &VerifyPolicy::full(100.0),
@@ -1245,7 +1339,7 @@ mod tests {
             Engine::Gpu(GpuAlgorithm::Cr),
             &[],
             &CircuitBreakers::default(),
-            &systems,
+            &systems.iter().collect::<Vec<_>>(),
             &cfg(),
             true,
             &VerifyPolicy::full(100.0),
@@ -1720,6 +1814,152 @@ mod tests {
         assert_eq!((catalog.len(), cache.stats().entries), (1, 1));
     }
 
+    // ── mixed flushes: one size-class bucket, split by matrix ─────────
+
+    /// Serves one flush of `members` — `(matrix, keyed)` pairs, each given
+    /// its own right-hand side — and returns the answers in request order,
+    /// each beside the system it answers. Every answer must carry its
+    /// request's id and pass an independent `‖Ax − d‖` check.
+    fn serve_mixed(
+        members: &[(&TridiagonalSystem<f32>, bool)],
+        plans: &PlanCache,
+        metrics: &ServiceMetrics,
+        cfg: &DispatchConfig,
+    ) -> Vec<(crate::request::SolveResponse<f32>, TridiagonalSystem<f32>)> {
+        let launcher = Launcher::gtx280();
+        let n = members[0].0.n();
+        let mut requests = Vec::new();
+        let mut pending = Vec::new();
+        for (i, &(matrix, keyed)) in members.iter().enumerate() {
+            let mut system = matrix.clone();
+            system.d = (0..n).map(|j| ((j * 13 + i * 7) % 19) as f32 - 9.0).collect();
+            let key = keyed.then(|| tridiag_core::MatrixKey::of_system(matrix));
+            let (req, ticket) =
+                crate::request::make_request_keyed(i as u64, system.clone(), 0, None, key);
+            requests.push(req);
+            pending.push((ticket, system));
+        }
+        let flush = FlushedBatch { n, requests, reason: FlushReason::Full };
+        serve_flush(
+            DeviceCtx::solo(&launcher),
+            plans,
+            &CircuitBreakers::default(),
+            metrics,
+            cfg,
+            flush,
+        );
+        pending
+            .into_iter()
+            .enumerate()
+            .map(|(i, (ticket, system))| {
+                let resp = ticket.try_take().expect("a synchronous serve answers every member");
+                assert_eq!(resp.id, i as u64, "answers come back in request order");
+                let residual = l2_residual(&system, &resp.x).unwrap();
+                assert!(residual < 1e-2, "member {i}: {residual}");
+                (resp, system)
+            })
+            .collect()
+    }
+
+    fn dominant_matrices(seed: u64, count: usize) -> Vec<TridiagonalSystem<f32>> {
+        let mut generator = Generator::new(seed);
+        (0..count).map(|_| generator.system(Workload::DiagonallyDominant, 128)).collect()
+    }
+
+    #[test]
+    fn mixed_flush_splits_by_matrix_in_request_order() {
+        let (warm_cfg, catalog, cache) = warm_tier_cfg();
+        let plans = PlanCache::new();
+        let metrics = ServiceMetrics::new();
+        let m = dominant_matrices(91, 4);
+        let (k1, k2, k3, unkeyed) = (&m[0], &m[1], &m[2], &m[3]);
+        let answers = serve_mixed(
+            &[(k1, true), (k2, true), (k1, true), (k3, true), (unkeyed, false)],
+            &plans,
+            &metrics,
+            &warm_cfg,
+        );
+
+        // k1 has two members, so it is admitted: analyzed, certified and
+        // factored, and served as its own (sampled) group.
+        let key1 = tridiag_core::MatrixKey::of_system(k1);
+        assert!(catalog.certificate(&key1).is_some_and(|c| c.is_certified()));
+        assert_eq!((catalog.len(), cache.stats().entries), (1, 1), "only k1 is written");
+        for i in [0, 2] {
+            assert_eq!(answers[i].0.batch_occupancy, 2, "member {i}");
+        }
+        // k2, k3 and the unkeyed request share one fully verified cold
+        // group: each reports the residual it was accepted on.
+        for i in [1, 3, 4] {
+            let (resp, system) = &answers[i];
+            assert_eq!(resp.batch_occupancy, 3, "member {i}");
+            assert_eq!(resp.engine, "cpu-thomas");
+            assert!(!resp.repaired);
+            assert_eq!(resp.residual, l2_residual(system, &resp.x).unwrap(), "member {i}");
+        }
+
+        // One sighting and one lookup per distinct key: k2 and k3 were
+        // seen once (not admitted), and the cache saw three misses.
+        let snap = metrics.snapshot(0, 0, 0);
+        assert_eq!(snap.factor_misses, 3);
+        assert_eq!(cache.stats().misses, 3);
+        assert_eq!(snap.cert_sampled_verifies + snap.cert_skipped_verifies, 1, "k1 only");
+        assert_eq!(snap.flushes_full, 1, "one flush, however many groups");
+        assert_eq!(snap.occupancy_systems, [(2, 2), (3, 3)].into_iter().collect());
+        assert_eq!((snap.completed, snap.dispatched_total()), (5, 5));
+        for fp in [m[1].clone(), m[2].clone()]
+            .map(|s| tridiag_core::MatrixKey::of_system(&s).fingerprint())
+        {
+            assert!(warm_cfg.sightings.record(fp), "the one-hit keys' sightings were recorded");
+        }
+    }
+
+    #[test]
+    fn mixed_flush_keeps_resident_and_certified_keys_on_their_paths() {
+        use VerifyDecision::*;
+        let m = dominant_matrices(92, 3);
+        let (recurring, x, y) = (&m[0], &m[1], &m[2]);
+        let fp = tridiag_core::MatrixKey::of_system(recurring).fingerprint();
+        let slot = crate::sightings::slot_of(fp);
+        let rival = (1u64..).find(|&r| r != fp && crate::sightings::slot_of(r) == slot).unwrap();
+        let cache_only =
+            DispatchConfig { factor_cache: Some(Arc::new(SharedFactorCache::new(64))), ..cfg() };
+        let catalog_only = DispatchConfig {
+            certified: Some(Arc::new(CertifiedCatalog::with_sample_period(4))),
+            ..cfg()
+        };
+        let (both, _catalog, _cache) = warm_tier_cfg();
+        for (label, config) in [("both", &both), ("cache", &cache_only), ("catalog", &catalog_only)]
+        {
+            let plans = PlanCache::new();
+            let metrics = ServiceMetrics::new();
+            let (resident, certified) = (config.factor_cache.is_some(), config.certified.is_some());
+            let before = metrics.snapshot(0, 0, 0);
+            serve_mixed(&[(recurring, true), (recurring, true)], &plans, &metrics, config);
+            let first = decision_between(&before, &metrics.snapshot(0, 0, 0));
+            assert_eq!(first, if certified { Sampled } else { Full }, "{label}");
+            // Another key takes the slot, so only residency or the
+            // certificate can route the recurring key to its own group.
+            assert!(!config.sightings.record(rival));
+
+            let before = metrics.snapshot(0, 0, 0);
+            let answers =
+                serve_mixed(&[(x, true), (recurring, true), (y, true)], &plans, &metrics, config);
+            let after = metrics.snapshot(0, 0, 0);
+            let second = decision_between(&before, &after);
+            assert_eq!(second, if certified { Skip } else { Full }, "{label}: policy kept");
+            let engine = if resident { "cpu-warm" } else { "cpu-thomas" };
+            assert_eq!(answers[1].0.engine, engine, "{label}");
+            assert_eq!(answers[1].0.batch_occupancy, 1, "{label}: served as its own group");
+            assert_eq!(after.factor_hits - before.factor_hits, u64::from(resident), "{label}");
+            for i in [0, 2] {
+                assert_eq!(answers[i].0.batch_occupancy, 2, "{label}: one-hit keys share a group");
+                assert_eq!(answers[i].0.engine, "cpu-thomas", "{label}");
+            }
+            assert_eq!(after.condest_calls, u64::from(certified), "{label}: analyzed once");
+        }
+    }
+
     #[test]
     fn uncertified_key_keeps_full_verification() {
         let launcher = Launcher::gtx280();
@@ -1924,7 +2164,7 @@ mod tests {
             Engine::Gpu(GpuAlgorithm::CrPcr { m: 32 }),
             &fallbacks,
             &breakers,
-            &systems,
+            &systems.iter().collect::<Vec<_>>(),
             &cfg(),
             false,
             &VerifyPolicy::full(100.0),

@@ -12,8 +12,11 @@
 //! * `sum(dispatch_counts.values()) == completed` — every completed
 //!   request was dispatched on exactly one engine;
 //! * `sum(occupancy.values() × key weighting) == completed` — the
-//!   occupancy histogram counts *systems* (not batches) per batch size, so
-//!   it partitions the same population;
+//!   occupancy histogram counts *systems* (not batches) per dispatch-group
+//!   size, so it partitions the same population (and equals the summed
+//!   occupancy of the `Served` trace events, one per group);
+//! * `flushes_<reason>` counts batcher flushes, one per `Flush` trace
+//!   event, however many groups dispatch splits a flush into;
 //! * `submitted == completed + in flight` at quiescence, with `rejected`
 //!   counted separately (rejected requests were never admitted).
 
@@ -119,18 +122,9 @@ impl ServiceMetrics {
         self.rejected.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// One batch of `occupancy` systems flushed for `reason` and served on
-    /// `engine` in `engine_ms` milliseconds (simulated for GPU engines,
-    /// wall-clock for CPU); `repairs` of its systems needed the GEP
-    /// safety net.
-    pub fn on_batch_served(
-        &self,
-        engine: &str,
-        occupancy: usize,
-        reason: FlushReason,
-        repairs: usize,
-        engine_ms: f64,
-    ) {
+    /// One batcher flush for `reason`. Counted once per flush, however
+    /// many dispatch groups the dispatcher splits it into.
+    pub fn on_flush(&self, reason: FlushReason) {
         match reason {
             FlushReason::Full => &self.flushes_full,
             FlushReason::Linger => &self.flushes_linger,
@@ -138,6 +132,12 @@ impl ServiceMetrics {
             FlushReason::Shutdown => &self.flushes_shutdown,
         }
         .fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// One dispatch group of `occupancy` systems served on `engine` in
+    /// `engine_ms` milliseconds (simulated for GPU engines, wall-clock for
+    /// CPU); `repairs` of its systems needed the GEP safety net.
+    pub fn on_batch_served(&self, engine: &str, occupancy: usize, repairs: usize, engine_ms: f64) {
         self.repaired.fetch_add(repairs as u64, Ordering::Relaxed);
         *self.occupancy.lock().unwrap_or_else(|p| p.into_inner()).entry(occupancy).or_insert(0) +=
             occupancy as u64;
@@ -597,9 +597,12 @@ mod tests {
         for _ in 0..10 {
             m.on_submit();
         }
-        m.on_batch_served("cr+pcr@32", 6, FlushReason::Full, 1, 0.25);
-        m.on_batch_served("cpu-thomas", 3, FlushReason::Linger, 0, 0.5);
-        m.on_batch_served("cpu-thomas", 1, FlushReason::Shutdown, 0, 0.25);
+        m.on_flush(FlushReason::Full);
+        m.on_batch_served("cr+pcr@32", 6, 1, 0.25);
+        m.on_flush(FlushReason::Linger);
+        m.on_batch_served("cpu-thomas", 3, 0, 0.5);
+        m.on_flush(FlushReason::Shutdown);
+        m.on_batch_served("cpu-thomas", 1, 0, 0.25);
         for _ in 0..10 {
             m.on_complete(Duration::from_micros(300));
         }
@@ -654,7 +657,8 @@ mod tests {
         m.on_degradation(2, 3, 1, true);
         m.on_degradation(0, 0, 0, false); // a clean flush adds nothing
         m.on_deadline_miss();
-        m.on_batch_served("cr", 4, FlushReason::Deadline, 0, 0.1);
+        m.on_flush(FlushReason::Deadline);
+        m.on_batch_served("cr", 4, 0, 0.1);
         let snap = m.snapshot(0, 0, 0);
         let d = &snap.degradation;
         assert!(!d.is_quiet());
@@ -720,7 +724,8 @@ mod tests {
     fn json_is_well_formed_and_complete() {
         let m = ServiceMetrics::new();
         m.on_submit();
-        m.on_batch_served("pcr", 1, FlushReason::Linger, 0, 0.125);
+        m.on_flush(FlushReason::Linger);
+        m.on_batch_served("pcr", 1, 0, 0.125);
         m.on_complete(Duration::from_micros(50));
         let json = m.snapshot(0, 1, 0).to_json();
         assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
@@ -744,7 +749,8 @@ mod tests {
     #[test]
     fn devices_block_serializes_per_device_gauges() {
         let m = ServiceMetrics::new();
-        m.on_batch_served("cr+pcr@32", 2, FlushReason::Full, 0, 0.5);
+        m.on_flush(FlushReason::Full);
+        m.on_batch_served("cr+pcr@32", 2, 0, 0.5);
         let mut snap = m.snapshot(0, 0, 0);
         snap.devices = vec![
             DeviceSnapshot {

@@ -15,6 +15,13 @@
 //! kernel + PCIe transfer), the CPU baseline by measured wall-clock of the
 //! sequential Thomas solve on the same probe batch. Non-power-of-two
 //! sizes, which no GPU kernel accepts, route straight to the CPU.
+//!
+//! The cache's tournament is **pruned by the PCIe floor**: every GPU
+//! score includes the probe's host↔device transfer, so when the CPU
+//! baseline (timed first) beats that transfer alone, no GPU candidate can
+//! win and none is interpreted. The winner and its score are exactly the
+//! full tournament's; only the ranking behind the winner is left for
+//! [`PlanCache::ranking_for`] to complete if it is ever asked.
 
 use gpu_sim::{Clock, Launcher};
 use gpu_solvers::{solve_batch, GpuAlgorithm};
@@ -70,6 +77,10 @@ pub struct Plan {
 /// Cache key: system size, element width, device.
 type PlanKey = (usize, usize, &'static str);
 
+/// A tuned key: the winning plan and the tournament ranking behind it
+/// (`None` while a PCIe-floor prune has left the GPU candidates unscored).
+type Tuned = (Plan, Option<Vec<Engine>>);
+
 /// Concurrent plan cache with hit/tune accounting.
 ///
 /// Tuning is serialized per cache (a `Mutex` around the map): if two
@@ -78,8 +89,9 @@ type PlanKey = (usize, usize, &'static str);
 /// the cache keeps the full tournament **ranking** (every admissible
 /// engine, best score first) so the dispatcher's retry loop can exclude a
 /// faulting engine and fall to the next-best candidate without re-tuning.
+/// A PCIe-floor prune (see the module docs) defers the ranking.
 pub struct PlanCache {
-    plans: Mutex<HashMap<PlanKey, (Plan, Vec<Engine>)>>,
+    plans: Mutex<HashMap<PlanKey, Tuned>>,
     /// Keys whose first GPU flush has (started) running under the kernel
     /// sanitizer — see [`PlanCache::begin_sanitize`].
     sanitized: Mutex<HashSet<PlanKey>>,
@@ -133,7 +145,8 @@ impl PlanCache {
     /// [`PlanCache::plan_for`] with the tournament timed on `clock` — a
     /// simulated clock scores the CPU baseline with the deterministic cost
     /// model instead of the wall, so replayed tournaments pick the same
-    /// winner bit-for-bit.
+    /// winner bit-for-bit. The tournament is pruned by the PCIe floor (see
+    /// the module docs); the returned plan equals the full tournament's.
     pub fn plan_for_on<T: Real>(
         &self,
         launcher: &Launcher,
@@ -147,7 +160,7 @@ impl PlanCache {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return *plan;
         }
-        let (plan, ranking) = autotune_ranked_on::<T>(launcher, n, probe_count, clock);
+        let (plan, ranking) = tournament::<T>(launcher, n, probe_count, clock, true);
         self.tunes.fetch_add(1, Ordering::Relaxed);
         plans.insert(key, (plan, ranking));
         plan
@@ -166,7 +179,9 @@ impl PlanCache {
     }
 
     /// [`PlanCache::ranking_for`] timed on `clock` (see
-    /// [`PlanCache::plan_for_on`] for why replay needs this).
+    /// [`PlanCache::plan_for_on`] for why replay needs this). A pruned
+    /// entry's ranking is completed here: its GPU candidates are scored
+    /// once and ranked behind the cached CPU score, which still wins.
     pub fn ranking_for_on<T: Real>(
         &self,
         launcher: &Launcher,
@@ -176,13 +191,22 @@ impl PlanCache {
     ) -> Vec<Engine> {
         let key: PlanKey = (n, T::BYTES, launcher.device.name);
         let mut plans = self.plans.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some((_, ranking)) = plans.get(&key) {
-            return ranking.clone();
+        match plans.get_mut(&key) {
+            Some((_, Some(ranking))) => ranking.clone(),
+            Some((plan, pruned @ None)) => {
+                let probe = gpu_probe::<T>(n, plan.probe_count);
+                let (_, ranking) =
+                    rank(gpu_scores(launcher, n, &probe), plan.predicted_ms, plan.probe_count);
+                pruned.insert(ranking).clone()
+            }
+            None => {
+                let (plan, ranking) = tournament::<T>(launcher, n, probe_count, clock, false);
+                self.tunes.fetch_add(1, Ordering::Relaxed);
+                let ranking = ranking.expect("an unpruned tournament ranks every candidate");
+                plans.insert(key, (plan, Some(ranking.clone())));
+                ranking
+            }
         }
-        let (plan, ranking) = autotune_ranked_on::<T>(launcher, n, probe_count, clock);
-        self.tunes.fetch_add(1, Ordering::Relaxed);
-        plans.insert(key, (plan, ranking.clone()));
-        ranking
     }
 
     /// Read-only peek, never tunes. For tests and introspection.
@@ -233,6 +257,22 @@ pub fn autotune_ranked_on<T: Real>(
     probe_count: usize,
     clock: &Clock,
 ) -> (Plan, Vec<Engine>) {
+    let (plan, ranking) = tournament::<T>(launcher, n, probe_count, clock, false);
+    (plan, ranking.expect("an unpruned tournament ranks every candidate"))
+}
+
+/// The tournament behind [`autotune_ranked_on`] and the [`PlanCache`].
+/// The CPU baseline is timed first; with `prune` set and that time
+/// strictly below the probe's PCIe transfer — a floor under every GPU
+/// score — the GPU candidates are not run and the ranking is `None`. The
+/// plan is then exactly what the full tournament would return.
+fn tournament<T: Real>(
+    launcher: &Launcher,
+    n: usize,
+    probe_count: usize,
+    clock: &Clock,
+    prune: bool,
+) -> (Plan, Option<Vec<Engine>>) {
     let probe_count = probe_count.max(1);
     if n < 2 || !n.is_power_of_two() {
         // No GPU kernel accepts this size; measure the CPU so the score is
@@ -240,13 +280,41 @@ pub fn autotune_ranked_on<T: Real>(
         let probe = cpu_probe::<T>(n, probe_count);
         let ms = probe.as_ref().map(|b| time_cpu_thomas(b, clock)).unwrap_or(f64::INFINITY);
         let plan = Plan { engine: Engine::Cpu(CpuEngine::Thomas), predicted_ms: ms, probe_count };
-        return (plan, vec![plan.engine]);
+        return (plan, Some(vec![plan.engine]));
     }
 
-    let probe: SystemBatch<T> = Generator::new(0x5EED_CAFE)
-        .batch(Workload::DiagonallyDominant, n, probe_count)
-        .expect("probe batch generation cannot fail for n >= 2");
+    let probe = gpu_probe::<T>(n, probe_count);
+    let cpu_ms = time_cpu_thomas(&probe, clock);
+    if prune && cpu_ms < pcie_floor_ms(launcher, &probe) {
+        let plan =
+            Plan { engine: Engine::Cpu(CpuEngine::Thomas), predicted_ms: cpu_ms, probe_count };
+        return (plan, None);
+    }
+    let (plan, ranking) = rank(gpu_scores(launcher, n, &probe), cpu_ms, probe_count);
+    (plan, Some(ranking))
+}
 
+/// The probe's PCIe transfer in milliseconds, computed exactly as
+/// `TimingReport::with_transfer` does — a lower bound on every GPU
+/// candidate's `total_ms`, which adds kernel time to it.
+fn pcie_floor_ms<T: Real>(launcher: &Launcher, probe: &SystemBatch<T>) -> f64 {
+    launcher.cost.pcie_seconds(probe.transfer_bytes() as u64) * 1e3
+}
+
+/// The tournament's probe batch for a power-of-two `n`.
+fn gpu_probe<T: Real>(n: usize, probe_count: usize) -> SystemBatch<T> {
+    Generator::new(0x5EED_CAFE)
+        .batch(Workload::DiagonallyDominant, n, probe_count)
+        .expect("probe batch generation cannot fail for n >= 2")
+}
+
+/// Scores the admissible GPU candidates (see [`autotune`]) on `probe` by
+/// simulated `total_ms`, leaving out any that error or overflow.
+fn gpu_scores<T: Real>(
+    launcher: &Launcher,
+    n: usize,
+    probe: &SystemBatch<T>,
+) -> Vec<(Engine, f64)> {
     let mut candidates: Vec<GpuAlgorithm> = GpuAlgorithm::paper_five(n)
         .into_iter()
         .filter(|alg| alg.validate(n).is_ok())
@@ -256,15 +324,20 @@ pub fn autotune_ranked_on<T: Real>(
 
     let mut scored: Vec<(Engine, f64)> = Vec::with_capacity(candidates.len() + 1);
     for alg in candidates {
-        let Ok(report) = solve_batch(launcher, alg, &probe) else { continue };
+        let Ok(report) = solve_batch(launcher, alg, probe) else { continue };
         if report.solutions.first_non_finite().is_some() {
             continue; // overflowed on the probe — unfit to serve
         }
         scored.push((Engine::Gpu(alg), report.timing.total_ms()));
     }
-    scored.push((Engine::Cpu(CpuEngine::Thomas), time_cpu_thomas(&probe, clock)));
-    scored.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(core::cmp::Ordering::Equal));
+    scored
+}
 
+/// Ranks the GPU scores and the CPU baseline, best first. The sort is
+/// stable and the CPU goes last, so a GPU candidate wins a tie.
+fn rank(mut scored: Vec<(Engine, f64)>, cpu_ms: f64, probe_count: usize) -> (Plan, Vec<Engine>) {
+    scored.push((Engine::Cpu(CpuEngine::Thomas), cpu_ms));
+    scored.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(core::cmp::Ordering::Equal));
     let (engine, predicted_ms) = scored[0];
     let ranking = scored.into_iter().map(|(e, _)| e).collect();
     (Plan { engine, predicted_ms, probe_count }, ranking)
@@ -390,6 +463,67 @@ mod tests {
         // Several GPU candidates fit at n = 256, so retries have somewhere
         // to go before the CPU.
         assert!(ranking.iter().filter(|e| matches!(e, Engine::Gpu(_))).count() >= 2, "{ranking:?}");
+    }
+
+    /// Whether `cache` holds a pruned (GPU-unscored) entry for `n`.
+    fn is_pruned<T: Real>(cache: &PlanCache, launcher: &Launcher, n: usize) -> bool {
+        let key: PlanKey = (n, T::BYTES, launcher.device.name);
+        matches!(cache.plans.lock().unwrap().get(&key), Some((_, None)))
+    }
+
+    /// Every power-of-two `n` in `2..=4096` on the sim clock: the cache's
+    /// pruned tournament crowns the full tournament's engine with a
+    /// bit-identical score. Returns the sizes the prune fired at.
+    fn pruned_plans_match_the_full_tournament<T: Real>() -> Vec<usize> {
+        let launcher = Launcher::gtx280();
+        let clock = Clock::sim();
+        let cache = PlanCache::new();
+        let mut pruned = Vec::new();
+        for n in (1..=12).map(|k| 1usize << k) {
+            let plan = cache.plan_for_on::<T>(&launcher, n, 16, &clock);
+            let (full, _) = autotune_ranked_on::<T>(&launcher, n, 16, &clock);
+            assert_eq!(plan.engine, full.engine, "n={n}");
+            assert_eq!(plan.predicted_ms.to_bits(), full.predicted_ms.to_bits(), "n={n}");
+            if is_pruned::<T>(&cache, &launcher, n) {
+                assert_eq!(plan.engine, Engine::Cpu(CpuEngine::Thomas), "n={n}");
+                pruned.push(n);
+            }
+        }
+        pruned
+    }
+
+    #[test]
+    fn pcie_floor_prune_keeps_the_winner_f32() {
+        let pruned = pruned_plans_match_the_full_tournament::<f32>();
+        // 25 ns/row against a 15 µs + 16·5n·4 B / 1.1 GB/s floor: the CPU
+        // beats the transfer alone up to n = 128, not from n = 256 on.
+        assert!(pruned.contains(&64) && pruned.contains(&128), "{pruned:?}");
+        assert!(pruned.iter().all(|&n| n < 256), "{pruned:?}");
+    }
+
+    #[test]
+    fn pcie_floor_prune_keeps_the_winner_f64() {
+        // f64 doubles the transfer to 16·5n·8 B: about 0.58 µs per row
+        // against the CPU's 0.4, so the prune fires at every size.
+        let all: Vec<usize> = (1..=12).map(|k| 1usize << k).collect();
+        assert_eq!(pruned_plans_match_the_full_tournament::<f64>(), all);
+    }
+
+    #[test]
+    fn ranking_after_a_pruned_plan_is_the_full_ranking() {
+        let launcher = Launcher::gtx280();
+        let clock = Clock::sim();
+        let cache = PlanCache::new();
+        let plan = cache.plan_for_on::<f32>(&launcher, 64, 16, &clock);
+        assert!(is_pruned::<f32>(&cache, &launcher, 64));
+        let ranking = cache.ranking_for_on::<f32>(&launcher, 64, 16, &clock);
+        let (full_plan, full_ranking) = autotune_ranked_on::<f32>(&launcher, 64, 16, &clock);
+        assert_eq!(ranking, full_ranking);
+        assert_eq!(ranking[0], plan.engine);
+        assert!(ranking.len() > 2, "the GPU candidates were scored: {ranking:?}");
+        assert_eq!(cache.peek::<f32>(&launcher, 64), Some(full_plan));
+        assert_eq!(cache.tunes(), 1, "completing the ranking is not a second tune");
+        assert!(!is_pruned::<f32>(&cache, &launcher, 64));
     }
 
     #[test]

@@ -31,10 +31,11 @@ pub struct SolveRequest<T: Real> {
     /// a member's deadline; a missed deadline is *reported* (metrics +
     /// response flag), never dropped — the answer is still delivered.
     pub deadline: Option<Tick>,
-    /// Identity of the request's coefficient matrix, when the factor
-    /// cache is enabled. Requests sharing a key batch together and, once
-    /// the matrix is factored, skip elimination entirely; `None` requests
-    /// ride the classic per-size buckets untouched.
+    /// Identity of the request's coefficient matrix, when the warm tier
+    /// is enabled. Every request rides its size class's bucket; dispatch
+    /// groups a flush's requests by this key, and once the matrix is
+    /// factored its group skips elimination entirely. `None` requests are
+    /// served cold.
     pub matrix_key: Option<MatrixKey>,
     pub(crate) slot: Arc<OneShot<SolveResponse<T>>>,
 }

@@ -79,11 +79,12 @@ pub struct ServiceConfig {
     /// `Arc` across services to amortize proofs between them.
     pub verified: Option<Arc<kernel_verify::VerifiedCatalog>>,
     /// Factorization cache for the warm serving tier. When set, every
-    /// admitted system is identity-hashed (structure tag + content hash),
-    /// requests sharing a matrix batch together, a matrix is factored on
-    /// its key's second sighting (a repeat flush, or one flush of several
-    /// systems), and a flush whose matrix is already factored skips
-    /// elimination — back-substitution only.
+    /// admitted system is identity-hashed (structure tag + content hash)
+    /// and batched with its size class as usual; dispatch splits each
+    /// flush by matrix key. A matrix is factored on its key's second
+    /// sighting (a repeat flush, or one flush of several systems), a key
+    /// whose matrix is already factored is served by back-substitution
+    /// only, and the one-hit keys of a flush share one cold batch.
     /// `None` (the default) leaves every request unkeyed and the service's
     /// behaviour byte-identical to the cold-only service. Share one `Arc`
     /// across services to share factorizations between them.
@@ -92,7 +93,8 @@ pub struct ServiceConfig {
     /// admitted system is identity-hashed (like
     /// [`factor_cache`](Self::factor_cache)) and each matrix key is
     /// statically analyzed exactly once, on its second sighting (keys
-    /// seen once are served with full verification); keys earning a
+    /// seen once ride their flush's cold group with full verification;
+    /// analyzed keys are served as their own group); keys earning a
     /// [`numeric_verify::NumericCertificate`] downgrade the per-answer
     /// residual verify to deterministic 1-in-K sampling (the NaN/Inf
     /// guard always runs), and a corruption caught on a sampled flush
@@ -360,8 +362,9 @@ impl<T: Real> SolverService<T> {
         deadline: Option<Tick>,
     ) -> Result<Ticket<T>, ServiceError> {
         // With the factor cache or certified catalog on, every admitted
-        // system is identity-hashed so equal matrices batch together and
-        // hit the warm tier / share one analysis verdict.
+        // system is identity-hashed so dispatch can group equal matrices
+        // within a flush: they hit the warm tier and share one analysis
+        // verdict.
         let cfg = &self.shared.dispatch_cfg;
         let matrix_key = (cfg.factor_cache.is_some() || cfg.certified.is_some())
             .then(|| MatrixKey::of_system(&system));
@@ -433,9 +436,9 @@ impl<T: Real> SolverService<T> {
     /// serving tier's front door.
     ///
     /// The matrix identity is hashed **once** (not once per RHS), every
-    /// request rides the same key, so the batcher coalesces them into
-    /// shared flushes and — with [`ServiceConfig::factor_cache`] set —
-    /// everything after the first flush is served from the cached
+    /// request rides the same key, so dispatch serves each flush's share
+    /// of them as one group and — with [`ServiceConfig::factor_cache`]
+    /// set — everything after the first flush is served from the cached
     /// factorization by back-substitution alone. Without a cache the
     /// requests still co-batch; they are just served cold.
     ///

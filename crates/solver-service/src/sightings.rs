@@ -12,8 +12,8 @@
 //! Manes, ACM TOS 2017) — a CDN's "cache on second hit".
 //!
 //! The table is a fixed direct-mapped array of key fingerprints. A flush
-//! records its fingerprint with one lock-free `swap`; it is a repeat if
-//! the slot already held that fingerprint. Collisions are safe in both
+//! records each distinct key's fingerprint once, with one lock-free
+//! `swap`; it is a repeat if the slot already held that fingerprint. Collisions are safe in both
 //! directions: two keys with equal fingerprints admit early (what every
 //! key did before admission existed), and a key whose slot another key
 //! overwrote waits one more sighting. Its memory is fixed — it never

@@ -81,14 +81,14 @@ pub enum TraceEvent {
         /// What triggered the flush.
         reason: FlushReason,
     },
-    /// The dispatcher settled on an engine for a flush (after the
-    /// planner, pin, and small-flush overrides).
+    /// The dispatcher settled on an engine for a cold dispatch group
+    /// (after the planner, pin, and small-flush overrides).
     Plan {
         /// Decision tick.
         at: Tick,
         /// Size class.
         n: u64,
-        /// Requests in the batch.
+        /// Requests in the group.
         occupancy: u64,
         /// Canonical engine label (e.g. `cr+pcr@32`, `cpu-thomas`).
         engine: String,
@@ -125,14 +125,15 @@ pub enum TraceEvent {
         /// Device that will serve it.
         to: u64,
     },
-    /// A flush was fully served: every ticket fulfilled, every answer
-    /// verified (and repaired where needed).
+    /// A dispatch group was fully served: every ticket fulfilled, every
+    /// answer verified (and repaired where needed). A flush split by
+    /// matrix emits one per group; their occupancies sum to the flush's.
     Served {
         /// Decision tick (after the engine's simulated work).
         at: Tick,
         /// Size class.
         n: u64,
-        /// Requests in the batch.
+        /// Requests in the group.
         occupancy: u64,
         /// Engine that produced the final answers.
         engine: String,

@@ -666,6 +666,97 @@ fn certified_bit_flip_is_caught_within_the_sampling_window_and_revokes() {
     assert_eq!(snap.certs_revoked, 1, "revocation must be idempotent");
 }
 
+/// `‖Ax − d‖₂` evaluated in f64 straight from the diagonals — the chaos
+/// cells' own oracle, independent of the service's verify code.
+fn oracle_residual(system: &TridiagonalSystem<f32>, x: &[f32]) -> f64 {
+    let n = system.n();
+    let x = |i: usize| f64::from(x[i]);
+    (0..n)
+        .map(|i| {
+            let mut ax = f64::from(system.b[i]) * x(i);
+            if i > 0 {
+                ax += f64::from(system.a[i]) * x(i - 1);
+            }
+            if i + 1 < n {
+                ax += f64::from(system.c[i]) * x(i + 1);
+            }
+            (ax - f64::from(system.d[i])).powi(2)
+        })
+        .sum::<f64>()
+        .sqrt()
+}
+
+/// The warm-tier chaos cell for size-class batching: one-hit matrices
+/// interleaved with 4 recurring matrices of the same n share buckets, so
+/// every flush is split by matrix — recurring keys into their own groups,
+/// the one-hit keys into one cold group — under 5% launch faults and 1%
+/// bit flips. Every ticket is answered, no answer is wrong by an
+/// independent f64 residual, and the recurring keys still reach warm hits.
+///
+/// The cold groups are pinned to a GPU kernel so the faults land on the
+/// batches the split forms. Warm groups stay on the fault-free CPU sweep
+/// (`min_gpu_batch` out of reach): a certificate's `Skip` flush runs only
+/// the NaN/Inf guard, so a flip on a skipped warm launch is caught by a
+/// later sampled flush, not on the spot — that window has its own cell
+/// above, and this one judges every answer.
+#[test]
+fn one_hit_and_recurring_keys_share_buckets_under_chaos() {
+    const TOTAL: usize = 3000;
+    const N: usize = 64;
+    let (launcher, plan) = faulty_launcher(FaultConfig::chaos(0x51CE_2026, 0.05, 0.01));
+    let service: SolverService<f32> = SolverService::start(ServiceConfig {
+        target_batch: 8,
+        max_linger: Duration::from_millis(1),
+        min_gpu_batch: usize::MAX,
+        pin_engine: Some(Engine::Gpu(GpuAlgorithm::CrPcr { m: 32 })),
+        factor_cache: Some(Arc::new(SharedFactorCache::new(64))),
+        certified: Some(Arc::new(CertifiedCatalog::new())),
+        launcher,
+        clock: Clock::sim(),
+        ..ServiceConfig::default()
+    });
+    let mut generator = Generator::new(0x51CE);
+    let recurring: Vec<TridiagonalSystem<f32>> =
+        (0..4).map(|_| generator.system(Workload::DiagonallyDominant, N)).collect();
+
+    let mut pending = Vec::with_capacity(TOTAL);
+    for i in 0..TOTAL {
+        let system = if i % 3 == 0 {
+            let mut system = recurring[(i / 3) % 4].clone();
+            system.d = generator.system::<f32>(Workload::DiagonallyDominant, N).d;
+            system
+        } else {
+            generator.system(Workload::DiagonallyDominant, N)
+        };
+        pending.push((submit_retrying(&service, &system), system));
+    }
+    let mut warm_answers = 0;
+    for (ticket, system) in pending {
+        let id = ticket.id();
+        let response = wait_pumping(&service, ticket);
+        assert_eq!(response.id, id, "response delivered to the wrong ticket");
+        let residual = oracle_residual(&system, &response.x);
+        assert!(
+            residual < RESIDUAL_BOUND,
+            "wrong answer: id={id} engine={} residual={residual}",
+            response.engine
+        );
+        warm_answers += usize::from(response.engine == "cpu-warm");
+    }
+
+    let snapshot = service.shutdown();
+    assert_eq!(snapshot.completed, TOTAL as u64, "lost tickets");
+    let stats = plan.stats();
+    assert!(stats.launch_failures + stats.bit_flips > 0, "chaos injected nothing: {stats:?}");
+    assert!(snapshot.factor_hits > 0 && warm_answers > 0, "recurring keys never went warm");
+    assert!(snapshot.certs_issued >= 1, "recurring keys were never certified");
+    assert!(
+        snapshot.occupancy_systems.keys().any(|&occupancy| occupancy > 4),
+        "one-hit keys never shared a cold group: {:?}",
+        snapshot.occupancy_systems
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 

@@ -12,8 +12,13 @@
 //!   admission arithmetic (`submitted = completed`, `rejected` counted
 //!   separately) holds under backpressure retries.
 
-use solver_service::{ServiceConfig, ServiceError, SolverService, Ticket};
+use factor_cache::SharedFactorCache;
+use numeric_verify::CertifiedCatalog;
+use solver_service::{
+    ServiceConfig, ServiceError, SolverService, Ticket, TraceEvent, TraceHandle, TraceSink,
+};
 use std::collections::{BTreeMap, HashSet};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use tridiag_core::residual::l2_residual;
 use tridiag_core::{Generator, TridiagonalSystem, Workload};
@@ -157,4 +162,72 @@ fn open_loop_stream_serves_every_request_exactly_once() {
     {
         assert!(json.contains(key), "snapshot JSON missing {key}: {json}");
     }
+}
+
+/// Collects every trace event the service emits.
+#[derive(Default)]
+struct Collect(Mutex<Vec<TraceEvent>>);
+
+impl TraceSink for Collect {
+    fn record(&self, event: TraceEvent) {
+        self.0.lock().unwrap().push(event);
+    }
+}
+
+/// With the warm tier on, flushes are split by matrix into dispatch
+/// groups. The books still balance: each batcher flush counts once in
+/// `flushes_<reason>` and emits one `Flush` event, each group emits one
+/// `Served` event with its own occupancy, and Σ `Served` occupancy =
+/// Σ `occupancy_systems` = Σ dispatch = completed.
+#[test]
+fn mixed_keyed_stream_conserves_flush_and_group_accounting() {
+    const TOTAL: usize = 400;
+    let sink = Arc::new(Collect::default());
+    let service: SolverService<f32> = SolverService::start(ServiceConfig {
+        target_batch: 16,
+        factor_cache: Some(Arc::new(SharedFactorCache::new(64))),
+        certified: Some(Arc::new(CertifiedCatalog::new())),
+        trace: TraceHandle::to(sink.clone()),
+        ..ServiceConfig::default()
+    });
+    let mut generator = Generator::new(0xF1_05);
+    let recurring: Vec<TridiagonalSystem<f32>> =
+        [64, 64, 128, 128].map(|n| generator.system(Workload::DiagonallyDominant, n)).into();
+    let mut tickets = Vec::with_capacity(TOTAL);
+    for i in 0..TOTAL {
+        let system = if i % 3 == 0 {
+            let mut system = recurring[(i / 3) % 4].clone();
+            system.d = generator.system::<f32>(Workload::DiagonallyDominant, system.n()).d;
+            system
+        } else {
+            generator.system(Workload::DiagonallyDominant, [64, 128][i % 2])
+        };
+        tickets.push(service.submit(system).expect("the queue holds the whole stream"));
+    }
+    for ticket in tickets {
+        ticket.wait();
+    }
+    let snap = service.shutdown();
+
+    let events = sink.0.lock().unwrap();
+    let (mut flushes, mut flushed, mut groups, mut served) = (0u64, 0u64, 0u64, 0u64);
+    for event in events.iter() {
+        match event {
+            TraceEvent::Flush { occupancy, .. } => {
+                (flushes, flushed) = (flushes + 1, flushed + occupancy)
+            }
+            TraceEvent::Served { occupancy, .. } => {
+                (groups, served) = (groups + 1, served + occupancy)
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(snap.completed, TOTAL as u64);
+    assert_eq!(flushes, snap.flushes_total(), "one Flush event per counted flush");
+    assert_eq!(flushed, snap.completed);
+    assert_eq!(served, snap.occupancy_total(), "Σ Served occupancy = Σ occupancy_systems");
+    assert_eq!(snap.occupancy_total(), snap.completed);
+    assert_eq!(snap.dispatched_total(), snap.completed);
+    assert!(groups > flushes, "no flush was split by matrix: {groups} groups, {flushes} flushes");
+    assert!(snap.factor_hits > 0, "recurring keys never went warm");
 }
