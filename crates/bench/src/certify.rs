@@ -96,7 +96,6 @@ fn drive(seed: u64, total: usize, keys: usize, certified: bool) -> ModeOutcome {
         // the sim model), independent of flush composition.
         pin_engine: Some(Engine::Cpu(CpuEngine::Thomas)),
         min_gpu_batch: usize::MAX,
-        sanitize_first_flush: false,
         clock: clock.clone(),
         certified: catalog,
         ..DispatchConfig::default()

@@ -77,7 +77,6 @@ fn drive(seed: u64, total: usize, warm: bool) -> ModeOutcome {
         // model), independent of flush composition.
         pin_engine: Some(Engine::Cpu(CpuEngine::Thomas)),
         min_gpu_batch: usize::MAX,
-        sanitize_first_flush: false,
         clock: clock.clone(),
         factor_cache: cache,
         ..DispatchConfig::default()

@@ -71,7 +71,6 @@ fn drive_scaling(seed: u64, devices: usize, total: usize) -> ScalingCell {
         min_gpu_batch: 1,
         max_linger: Duration::from_millis(1),
         pin_engine: Some(pin_engine()),
-        sanitize_first_flush: false,
         pool: Some(PoolConfig::new(devices)),
         ..ServiceConfig::default()
     };
@@ -166,7 +165,6 @@ fn drive_failover(seed: u64, total: usize) -> FailoverOutcome {
         min_gpu_batch: 1,
         max_linger: Duration::from_millis(1),
         pin_engine: Some(pin_engine()),
-        sanitize_first_flush: false,
         pool: Some(pool_cfg),
         ..ServiceConfig::default()
     };

@@ -174,7 +174,6 @@ fn serve_on_node(
     let dispatch = DispatchConfig {
         min_gpu_batch: cfg.min_gpu_batch,
         pin_engine: cfg.pin_engine,
-        sanitize_first_flush: false,
         clock: cluster.clock().clone(),
         trace: cluster.trace().clone(),
         ..DispatchConfig::default()

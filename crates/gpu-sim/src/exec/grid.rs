@@ -75,11 +75,6 @@ impl LaunchReport {
     pub fn sanitizer_errors(&self) -> impl Iterator<Item = &Diagnostic> {
         self.diagnostics.iter().filter(|d| d.severity == Severity::Error)
     }
-
-    /// `Warning`-severity diagnostics (non-finite origin, bank lint).
-    pub fn sanitizer_warnings(&self) -> impl Iterator<Item = &Diagnostic> {
-        self.diagnostics.iter().filter(|d| d.severity == Severity::Warning)
-    }
 }
 
 /// Executes kernels against a device and cost model.
@@ -89,7 +84,7 @@ pub struct Launcher {
     pub device: DeviceConfig,
     /// Cycle-cost constants.
     pub cost: CostModel,
-    /// Sanitizer configuration (default: `Off`, legacy behaviour).
+    /// Sanitizer configuration (default: `Off`, no checks).
     pub sanitize: SanitizeOptions,
     /// Fault-injection plan (default: `None`, a perfect device). Shared via
     /// `Arc` so launcher clones draw launch indices from one counter.

@@ -1,9 +1,9 @@
 //! Kernel sanitizer: always-on hazard/race/overflow analysis.
 //!
-//! The simulator's default launch path spot-checks write races on the
-//! single recording block. This module is the `compute-sanitizer`-style
-//! generalisation: with a [`SanitizeMode`] other than `Off`, **every block
-//! of every launch** carries a [`Sanitizer`] that checks
+//! The simulator's default launch path checks nothing. This module is the
+//! `compute-sanitizer`-style checker: with a [`SanitizeMode`] other than
+//! `Off`, **every block of every launch** carries a [`Sanitizer`] that
+//! checks
 //!
 //! * intra-step **write-write races** (two threads storing the same shared
 //!   cell between barriers), reporting both colliding source locations;
@@ -38,8 +38,7 @@ use std::collections::HashMap;
 /// How much checking a launch performs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SanitizeMode {
-    /// Legacy behaviour: no sanitizer state, recording-block race panic
-    /// only.
+    /// No sanitizer state and no checks (races included).
     #[default]
     Off,
     /// Check all blocks, collect diagnostics in the launch report, never
@@ -400,11 +399,6 @@ impl Sanitizer {
             None,
             format!("{degree}-way bank conflict at this access site"),
         );
-    }
-
-    /// `true` if any `Error`-severity diagnostic was recorded.
-    pub fn has_errors(&self) -> bool {
-        self.diags.iter().any(|d| d.severity == Severity::Error)
     }
 
     /// Consumes the sanitizer, returning its findings.

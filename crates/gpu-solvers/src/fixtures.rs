@@ -4,9 +4,9 @@
 //! / write` discipline (§4) exists to prevent, in a minimal CR/PCR/RD-shaped
 //! body. They are **test support only** — never dispatched by
 //! [`crate::solve_batch`] — and must be launched with a sanitizing
-//! [`gpu_sim::Launcher`] (`SanitizeMode::Record`): under the legacy
-//! recording path the racy fixture would panic, and under plain debug
-//! builds the OOB fixture would trip the shared-arena bounds assert.
+//! [`gpu_sim::Launcher`] (`SanitizeMode::Record`): an unsanitized launch
+//! reports no races at all, and under plain debug builds the OOB fixture
+//! would trip the shared-arena bounds assert.
 //!
 //! | kernel | bug | expected [`gpu_sim::DiagnosticKind`] |
 //! |---|---|---|

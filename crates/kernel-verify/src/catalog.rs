@@ -1,14 +1,13 @@
-//! The proof catalog consulted by serving admission.
+//! The proof catalog consulted by serving-time planning.
 //!
 //! [`VerifiedCatalog`] memoizes [`verify_solver`] verdicts per
-//! `(algorithm, n, element width)`. Solver-service admission asks
-//! [`VerifiedCatalog::is_proven`] before scheduling the first-flush dynamic
-//! sanitize of a size class: a `Proven` family member makes the sanitize
-//! redundant (the proof covers every launch of the family, not just the
-//! first), so the flush runs at full speed and the skip is counted in the
-//! service metrics. `Unproven` and `Violated` keep the dynamic sanitizer in
-//! charge — the catalog can only ever *remove* redundant work, never a
-//! safety net.
+//! `(algorithm, n, element width)`. A solver-service plan cache built
+//! with a catalog asks [`VerifiedCatalog::is_proven`] about every GPU
+//! candidate before its autotune tournament runs it: a `Proven` family
+//! member competes (the proof covers every launch of the family, not just
+//! the first), while `Unproven` and `Violated` kernels are never planned.
+//! No kernel is sanitized at serving time; the dynamic sanitizer is a CI
+//! and test tool.
 
 use crate::engine::{verify_solver, VerifyOptions};
 use crate::verdict::ProofStatus;
@@ -26,18 +25,12 @@ use tridiag_core::Real;
 #[derive(Debug, Default)]
 pub struct VerifiedCatalog {
     verdicts: Mutex<HashMap<(String, usize, usize), ProofStatus>>,
-    opts: VerifyOptions,
 }
 
 impl VerifiedCatalog {
     /// An empty catalog verifying with default options on demand.
     pub fn new() -> Self {
-        VerifiedCatalog { verdicts: Mutex::new(HashMap::new()), opts: VerifyOptions::default() }
-    }
-
-    /// An empty catalog with explicit verification options.
-    pub fn with_options(opts: VerifyOptions) -> Self {
-        VerifiedCatalog { verdicts: Mutex::new(HashMap::new()), opts }
+        VerifiedCatalog::default()
     }
 
     /// The proof status of `(alg, n)` at width `T::BYTES` on `device`,
@@ -55,8 +48,7 @@ impl VerifiedCatalog {
             return s;
         }
         let status = if verify_family(alg, T::BYTES, device).contains(&n) {
-            let mut opts = self.opts.clone();
-            opts.device = device.clone();
+            let opts = VerifyOptions { device: device.clone(), ..VerifyOptions::default() };
             verify_solver::<T>(alg, n, &opts).status
         } else {
             ProofStatus::Unproven
@@ -70,14 +62,10 @@ impl VerifiedCatalog {
         self.status_for::<T>(device, alg, n) == ProofStatus::Proven
     }
 
-    /// Number of memoized verdicts (for reporting).
-    pub fn len(&self) -> usize {
+    /// Number of memoized verdicts.
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.verdicts.lock().unwrap().len()
-    }
-
-    /// `true` when nothing has been verified yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 

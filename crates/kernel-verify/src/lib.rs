@@ -40,9 +40,9 @@
 //!    whole verdict `Unproven` even when the concrete checks passed: the
 //!    declared soundness boundary.
 //!
-//! Verdicts feed the [`VerifiedCatalog`], which solver-service admission
-//! consults to skip the first-flush dynamic sanitize for statically-proven
-//! engines, and the `repro prove` CI gate.
+//! Verdicts feed the [`VerifiedCatalog`], through which a solver-service
+//! plan cache admits only statically-proven engines to its autotune
+//! tournament, and the `repro prove` CI gate.
 
 #![warn(missing_docs)]
 

@@ -123,12 +123,6 @@ impl SizeVerdict {
         }
     }
 
-    /// The error-severity findings (all `StaticFinding` kinds are errors;
-    /// bank degrees are reported via [`StepSummary`], not findings).
-    pub fn violation_count(&self) -> usize {
-        self.findings.len()
-    }
-
     /// Worst bank degree per step of a given phase label, in step order —
     /// the analytic Figure 9 series when asked for `ForwardReduction`.
     pub fn degrees_in_phase(&self, phase: &str) -> Vec<u32> {

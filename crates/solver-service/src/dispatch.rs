@@ -24,13 +24,13 @@
 //!    repair. The service never returns an unverified solution — the
 //!    paper's solvers are pivoting-free and may fail on general matrices,
 //!    so verification is what makes this a *service* rather than a kernel.
-//! 4. **The first GPU flush of each size class is sanitized.** With
-//!    [`DispatchConfig::sanitize_first_flush`] set (the default), the
-//!    first flush dispatched to a GPU engine for each plan-cache key runs
-//!    with the kernel sanitizer recording: races, hazards, OOB, and
-//!    uninitialized reads found on real serving traffic are counted into
-//!    [`ServiceMetrics`], and a flush whose kernel trips an error-severity
-//!    diagnostic is re-solved on the CPU GEP path rather than trusted.
+//! 4. **Only proven kernels are planned.** A service holding a
+//!    `kernel_verify::VerifiedCatalog` builds its [`PlanCache`] with
+//!    [`PlanCache::proven_only`]: a GPU kernel the catalog does not prove
+//!    race/OOB/barrier-safe for its whole size family never enters the
+//!    tournament, so it is neither planned nor on the fallback ladder.
+//!    Nothing is sanitized at serving time; the sanitizer is a CI and
+//!    test tool (`repro sanitize`, `tests/sanitize_clean.rs`).
 //! 5. **Device faults are retried, then degraded — never surfaced.** A
 //!    transient [`TridiagError::DeviceFault`] re-dispatches the same
 //!    engine with exponential backoff (up to
@@ -56,7 +56,6 @@ use device_pool::DevicePool;
 use factor_cache::{FactorCache, FactorEntry, SharedFactorCache};
 use gpu_sim::{tick_duration, Clock, Launcher};
 use gpu_solvers::{solve_batch_robust, GpuAlgorithm, RobustOptions};
-use kernel_verify::VerifiedCatalog;
 use numeric_verify::{CertifiedCatalog, VerifyDecision};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -78,19 +77,10 @@ pub struct DispatchConfig {
     pub probe_count: usize,
     /// When set, bypass the planner *and* the small-flush CPU override and
     /// run every batch on this engine (benchmarking / A-B testing knob).
+    /// The pin bypasses a proven-only [`PlanCache`]'s filter along with
+    /// the planner: the pinned kernel runs whether or not it is proven.
     /// Verification and GEP repair still apply.
     pub pin_engine: Option<Engine>,
-    /// Run the first GPU flush of each plan-cache size class with the
-    /// kernel sanitizer recording (admission-time correctness check on
-    /// real traffic; later flushes of the same class run unsanitized).
-    pub sanitize_first_flush: bool,
-    /// Static proof catalog consulted by the first-flush decision. A size
-    /// class whose planned kernel the catalog proves race/OOB/barrier-safe
-    /// for its whole family skips the sanitized launch (the skip is
-    /// counted in `MetricsSnapshot::proof_skipped_sanitizes`); `Unproven`
-    /// and `Violated` verdicts keep the dynamic sanitizer in charge.
-    /// `None` (the default) sanitizes every first flush dynamically.
-    pub verified: Option<Arc<VerifiedCatalog>>,
     /// Factorization cache for the warm serving tier. When set, each
     /// flush is split by matrix key, and a key's group whose matrix is
     /// resident is served from the cached elimination coefficients —
@@ -143,8 +133,6 @@ impl Default for DispatchConfig {
             threshold_scale: 100.0,
             probe_count: 16,
             pin_engine: None,
-            sanitize_first_flush: true,
-            verified: None,
             factor_cache: None,
             certified: None,
             sightings: Arc::new(Sightings::new()),
@@ -475,19 +463,7 @@ fn serve_group<T: Real>(
             _ => Vec::new(),
         };
 
-        // First GPU flush of this size class? One decision point: claim
-        // the one-time token and either run the dynamic sanitizer or let
-        // a static proof stand in for it.
-        let sanitize = match sanitize_decision::<T>(cfg, plans, launcher, engine, n) {
-            SanitizeDecision::Dynamic => true,
-            SanitizeDecision::ProofSkipped => {
-                metrics.on_sanitize_skipped_by_proof();
-                false
-            }
-            SanitizeDecision::NotApplicable => false,
-        };
-
-        execute(device, engine, &fallbacks, breakers, &systems, cfg, sanitize, &policy)
+        execute(device, engine, &fallbacks, breakers, &systems, cfg, &policy)
     };
 
     // A corruption caught while serving a certified key revokes its
@@ -512,9 +488,6 @@ fn serve_group<T: Real>(
         device.note_dispatched(outcome.engine_ms);
     }
 
-    if let Some((errors, warnings)) = outcome.sanitizer_findings {
-        metrics.on_flush_sanitized(errors, warnings);
-    }
     metrics.on_batch_served(&outcome.engine_label, occupancy, outcome.repairs, outcome.engine_ms);
     metrics.on_degradation(
         outcome.retries,
@@ -562,49 +535,6 @@ fn serve_group<T: Real>(
     }
 }
 
-/// What the admission check does with one flush — the single point of
-/// truth for the first-flush sanitize policy (previously duplicated
-/// between the token claim and the launch-path condition).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SanitizeDecision {
-    /// First GPU flush of its size class, no proof on file: run it under
-    /// the dynamic kernel sanitizer.
-    Dynamic,
-    /// First GPU flush of its size class, but the proof catalog proves
-    /// the planned kernel safe for the whole family: skip the sanitized
-    /// launch. The one-time token is still consumed, so the skip is
-    /// counted exactly once per size class.
-    ProofSkipped,
-    /// Not a first GPU flush (CPU engine, sanitizing disabled, or the
-    /// size class was already checked).
-    NotApplicable,
-}
-
-/// Decides the admission-time sanitize for one flush of size `n` planned
-/// on `engine`. Claims the size class's one-time token for *both* the
-/// dynamic and the proof-skipped outcome — a proof replaces the sanitize,
-/// it does not defer it to the next flush.
-fn sanitize_decision<T: Real>(
-    cfg: &DispatchConfig,
-    plans: &PlanCache,
-    launcher: &Launcher,
-    engine: Engine,
-    n: usize,
-) -> SanitizeDecision {
-    let Engine::Gpu(alg) = engine else {
-        return SanitizeDecision::NotApplicable;
-    };
-    if !cfg.sanitize_first_flush || !plans.begin_sanitize::<T>(launcher, n) {
-        return SanitizeDecision::NotApplicable;
-    }
-    match &cfg.verified {
-        Some(catalog) if catalog.is_proven::<T>(&launcher.device, alg, n) => {
-            SanitizeDecision::ProofSkipped
-        }
-        _ => SanitizeDecision::Dynamic,
-    }
-}
-
 /// How much verification one flush pays, resolved once per flush from the
 /// certified catalog (defaulting to full verification for unkeyed or
 /// uncertified traffic).
@@ -642,9 +572,6 @@ struct Outcome<T: Real> {
     engine_label: String,
     /// Simulated device ms (GPU) or measured wall-clock ms (CPU).
     engine_ms: f64,
-    /// `(error_sites, warning_sites)` when the flush ran under the
-    /// sanitizer; `None` for unsanitized flushes and CPU engines.
-    sanitizer_findings: Option<(u64, u64)>,
     /// Engine dispatch attempts beyond the first (fault recoveries).
     retries: u64,
     /// Device faults observed while serving this flush.
@@ -671,10 +598,6 @@ fn backoff_delay(cfg: &DispatchConfig, attempt: usize) -> Duration {
 
 /// Runs `systems` on `engine`, verifying and repairing every solution.
 ///
-/// * With `sanitize` set, the first GPU attempt runs with the kernel
-///   sanitizer recording; error-severity findings demote the flush to the
-///   CPU GEP safety net (an unsound kernel's answers are not trusted,
-///   even if their residuals happen to pass).
 /// * GPU engines sit behind their circuit breaker: a denied engine is
 ///   skipped, a cooled-down one gets a half-open probe whose outcome is
 ///   reported back.
@@ -690,15 +613,10 @@ fn execute<T: Real>(
     breakers: &CircuitBreakers,
     systems: &[&TridiagonalSystem<T>],
     cfg: &DispatchConfig,
-    sanitize: bool,
     policy: &VerifyPolicy,
 ) -> Outcome<T> {
     let launcher = device.launcher;
     let threshold_scale = policy.threshold_scale;
-    // Degraded paths (sanitizer demotion, the GEP safety net) always pay
-    // full verification regardless of certificates — a degraded flush has
-    // already shown evidence that static assumptions may not hold.
-    let full_policy = VerifyPolicy::full(cfg.threshold_scale);
     let first = match engine {
         Engine::Cpu(cpu) => return cpu_execute(systems, cpu, policy, &cfg.clock),
         Engine::Gpu(alg) => alg,
@@ -745,39 +663,10 @@ fn execute<T: Real>(
                     attempt: total_attempts as u64,
                 });
             }
-            // Sanitize exactly one kernel run: the very first attempt.
-            let sanitize_this = sanitize && total_attempts == 1;
-            let sanitizing_launcher;
-            let attempt_launcher = if sanitize_this {
-                sanitizing_launcher =
-                    launcher.clone().with_sanitize(gpu_sim::SanitizeOptions::record());
-                &sanitizing_launcher
-            } else {
-                launcher
-            };
             let options = RobustOptions { threshold_scale, skip_residual_verify: policy.skips() };
-            match solve_batch_robust(attempt_launcher, *alg, &batch, options) {
+            match solve_batch_robust(launcher, *alg, &batch, options) {
                 Ok(report) => {
                     breakers.on_success(&key);
-                    let findings = sanitize_this.then(|| {
-                        (
-                            report.gpu.sanitizer_error_count() as u64,
-                            report.gpu.sanitizer_warning_count() as u64,
-                        )
-                    });
-                    if let Some((errors, _)) = findings {
-                        if errors > 0 {
-                            // The kernel is unsound on this traffic: fall
-                            // back to the CPU rather than serve its output.
-                            let mut out =
-                                cpu_execute(systems, CpuEngine::Gep, &full_policy, &cfg.clock);
-                            out.sanitizer_findings = findings;
-                            out.retries = retries;
-                            out.device_faults = device_faults;
-                            out.degraded = true;
-                            return out;
-                        }
-                    }
                     let mut repaired_flags = vec![false; systems.len()];
                     for repair in &report.repaired {
                         repaired_flags[repair.system] = true;
@@ -800,7 +689,6 @@ fn execute<T: Real>(
                         repaired_flags,
                         engine_label: label,
                         engine_ms,
-                        sanitizer_findings: findings,
                         retries,
                         device_faults,
                         corruptions,
@@ -839,7 +727,10 @@ fn execute<T: Real>(
 
     // Every GPU avenue is exhausted (or denied): the pivoted CPU safety
     // net serves the flush. This is the graceful-degradation terminal —
-    // correct answers, observable cost.
+    // correct answers, observable cost. It always pays full verification
+    // regardless of certificates: a degraded flush has already shown
+    // evidence that static assumptions may not hold.
+    let full_policy = VerifyPolicy::full(cfg.threshold_scale);
     let mut out = cpu_execute(systems, CpuEngine::Gep, &full_policy, &cfg.clock);
     out.retries = retries;
     out.device_faults = device_faults;
@@ -992,7 +883,6 @@ fn warm_execute<T: Real>(
         repaired_flags,
         engine_label,
         engine_ms,
-        sanitizer_findings: None,
         retries: 0,
         device_faults,
         corruptions,
@@ -1066,7 +956,6 @@ fn cpu_execute<T: Real>(
         repaired_flags,
         engine_label: Engine::Cpu(cpu).to_string(),
         engine_ms,
-        sanitizer_findings: None,
         retries: 0,
         device_faults: 0,
         corruptions: 0,
@@ -1241,226 +1130,10 @@ mod tests {
             &CircuitBreakers::default(),
             &systems.iter().collect::<Vec<_>>(),
             &cfg(),
-            false,
             &VerifyPolicy::full(100.0),
         );
         assert!(out.repairs > 0);
         assert!(out.residuals.iter().all(|&r| r.is_finite() && r < 1e-2));
-    }
-
-    #[test]
-    fn first_gpu_flush_of_each_size_class_is_sanitized_once() {
-        let launcher = Launcher::gtx280();
-        let plans = PlanCache::new();
-        let metrics = ServiceMetrics::new();
-        // Pin a GPU engine so the routing is deterministic.
-        let pinned = DispatchConfig {
-            pin_engine: Some(Engine::Gpu(GpuAlgorithm::CrPcr { m: 32 })),
-            ..cfg()
-        };
-        // Three flushes: two of n = 64 (only the first is sanitized), one
-        // of n = 128 (a new size class, sanitized again).
-        for (n, seed) in [(64usize, 21u64), (64, 22), (128, 23)] {
-            let (flush, tickets) = flush_of(n, 8, seed);
-            serve_flush(
-                DeviceCtx::solo(&launcher),
-                &plans,
-                &CircuitBreakers::default(),
-                &metrics,
-                &pinned,
-                flush,
-            );
-            for ticket in tickets {
-                let resp = ticket.try_take().unwrap();
-                assert!(resp.residual < 1e-2, "{}", resp.residual);
-                // Production kernels are clean: the sanitized flush must
-                // still have been served on the pinned GPU engine.
-                assert_eq!(resp.engine, "cr+pcr@32");
-            }
-        }
-        let snap = metrics.snapshot(0, 0, 0);
-        assert_eq!(snap.sanitized_flushes, 2, "one per size class");
-        assert_eq!(snap.sanitizer_errors, 0, "production kernels are clean");
-        assert_eq!(snap.completed, 24);
-    }
-
-    #[test]
-    fn sanitize_hook_is_off_when_disabled_and_for_cpu_flushes() {
-        let launcher = Launcher::gtx280();
-        let metrics = ServiceMetrics::new();
-        // CPU-routed small flush: no kernel runs, nothing to sanitize.
-        {
-            let plans = PlanCache::new();
-            let (flush, _tickets) = flush_of(64, 2, 31); // below min_gpu_batch
-            serve_flush(
-                DeviceCtx::solo(&launcher),
-                &plans,
-                &CircuitBreakers::default(),
-                &metrics,
-                &cfg(),
-                flush,
-            );
-        }
-        // GPU-pinned flush with the hook disabled.
-        {
-            let plans = PlanCache::new();
-            let disabled = DispatchConfig {
-                pin_engine: Some(Engine::Gpu(GpuAlgorithm::CrPcr { m: 32 })),
-                sanitize_first_flush: false,
-                ..cfg()
-            };
-            let (flush, _tickets) = flush_of(64, 8, 32);
-            serve_flush(
-                DeviceCtx::solo(&launcher),
-                &plans,
-                &CircuitBreakers::default(),
-                &metrics,
-                &disabled,
-                flush,
-            );
-        }
-        assert_eq!(metrics.snapshot(0, 0, 0).sanitized_flushes, 0);
-    }
-
-    #[test]
-    fn sanitizer_errors_demote_the_flush_to_the_cpu() {
-        // Drive `execute` directly with the deliberately hazardous
-        // stride-one CR timing kernel's algorithm? That variant is not a
-        // `GpuAlgorithm`, so instead prove the demotion contract at the
-        // `Outcome` level: a clean production kernel keeps its GPU label
-        // under sanitize, i.e. the demotion branch is not taken spuriously.
-        let launcher = Launcher::gtx280();
-        let systems: Vec<TridiagonalSystem<f32>> = {
-            let mut generator = Generator::new(33);
-            (0..8).map(|_| generator.system(Workload::DiagonallyDominant, 64)).collect()
-        };
-        let out = execute(
-            &DeviceCtx::solo(&launcher),
-            Engine::Gpu(GpuAlgorithm::Cr),
-            &[],
-            &CircuitBreakers::default(),
-            &systems.iter().collect::<Vec<_>>(),
-            &cfg(),
-            true,
-            &VerifyPolicy::full(100.0),
-        );
-        assert_eq!(out.engine_label, "cr");
-        let (errors, _warnings) = out.sanitizer_findings.expect("sanitized flush reports findings");
-        assert_eq!(errors, 0);
-    }
-
-    #[test]
-    fn proven_size_classes_skip_the_first_flush_sanitize() {
-        let launcher = Launcher::gtx280();
-        let plans = PlanCache::new();
-        let metrics = ServiceMetrics::new();
-        let catalog = Arc::new(VerifiedCatalog::new());
-        let pinned = DispatchConfig {
-            pin_engine: Some(Engine::Gpu(GpuAlgorithm::CrPcr { m: 32 })),
-            verified: Some(Arc::clone(&catalog)),
-            ..cfg()
-        };
-        // Two flushes of n = 64: the first consumes the size class's
-        // one-time token but the proof replaces the sanitized launch; the
-        // second is no longer a first flush, so nothing is counted twice.
-        for seed in [51u64, 52] {
-            let (flush, tickets) = flush_of(64, 8, seed);
-            serve_flush(
-                DeviceCtx::solo(&launcher),
-                &plans,
-                &CircuitBreakers::default(),
-                &metrics,
-                &pinned,
-                flush,
-            );
-            for ticket in tickets {
-                let resp = ticket.try_take().unwrap();
-                assert_eq!(resp.engine, "cr+pcr@32", "proof skip must not reroute the flush");
-                assert!(resp.residual < 1e-2, "{}", resp.residual);
-            }
-        }
-        let snap = metrics.snapshot(0, 0, 0);
-        assert_eq!(snap.proof_skipped_sanitizes, 1, "one skip per size class");
-        assert_eq!(snap.sanitized_flushes, 0, "the proof replaced the dynamic sanitize");
-        assert_eq!(snap.sanitizer_errors, 0);
-        assert!(
-            catalog.is_proven::<f32>(&launcher.device, GpuAlgorithm::CrPcr { m: 32 }, 64),
-            "the skip must be backed by a memoized proof"
-        );
-    }
-
-    #[test]
-    fn unproven_engines_keep_the_dynamic_sanitize() {
-        // The per-thread Thomas kernel is the catalog's documented
-        // `Unproven` boundary: even with the catalog wired in, its first
-        // flush runs under the dynamic sanitizer.
-        let launcher = Launcher::gtx280();
-        let plans = PlanCache::new();
-        let metrics = ServiceMetrics::new();
-        let pinned = DispatchConfig {
-            pin_engine: Some(Engine::Gpu(GpuAlgorithm::ThomasPerThread)),
-            verified: Some(Arc::new(VerifiedCatalog::new())),
-            ..cfg()
-        };
-        let (flush, tickets) = flush_of(64, 8, 53);
-        serve_flush(
-            DeviceCtx::solo(&launcher),
-            &plans,
-            &CircuitBreakers::default(),
-            &metrics,
-            &pinned,
-            flush,
-        );
-        for ticket in tickets {
-            let resp = ticket.try_take().unwrap();
-            assert_eq!(resp.engine, "thomas-per-thread");
-            assert!(resp.residual < 1e-2, "{}", resp.residual);
-        }
-        let snap = metrics.snapshot(0, 0, 0);
-        assert_eq!(snap.sanitized_flushes, 1, "no proof → the dynamic sanitizer stays");
-        assert_eq!(snap.proof_skipped_sanitizes, 0);
-    }
-
-    #[test]
-    fn sanitize_decision_is_the_single_policy_point() {
-        let launcher = Launcher::gtx280();
-        let catalog = Arc::new(VerifiedCatalog::new());
-        let with_catalog = DispatchConfig { verified: Some(Arc::clone(&catalog)), ..cfg() };
-        let cpu = Engine::Cpu(CpuEngine::Thomas);
-        let gpu = Engine::Gpu(GpuAlgorithm::Cr);
-
-        // CPU engines never sanitize, and never burn the token.
-        let plans = PlanCache::new();
-        assert_eq!(
-            sanitize_decision::<f32>(&with_catalog, &plans, &launcher, cpu, 64),
-            SanitizeDecision::NotApplicable
-        );
-        // First GPU flush with a proof on file: skipped...
-        assert_eq!(
-            sanitize_decision::<f32>(&with_catalog, &plans, &launcher, gpu, 64),
-            SanitizeDecision::ProofSkipped
-        );
-        // ...and the token is spent: the second flush is not special.
-        assert_eq!(
-            sanitize_decision::<f32>(&with_catalog, &plans, &launcher, gpu, 64),
-            SanitizeDecision::NotApplicable
-        );
-
-        // Without a catalog the same first flush sanitizes dynamically.
-        let plans = PlanCache::new();
-        assert_eq!(
-            sanitize_decision::<f32>(&cfg(), &plans, &launcher, gpu, 64),
-            SanitizeDecision::Dynamic
-        );
-
-        // Disabled sanitizing wins over everything and leaves the token.
-        let plans = PlanCache::new();
-        let off = DispatchConfig { sanitize_first_flush: false, ..cfg() };
-        assert_eq!(
-            sanitize_decision::<f32>(&off, &plans, &launcher, gpu, 64),
-            SanitizeDecision::NotApplicable
-        );
-        assert!(plans.begin_sanitize::<f32>(&launcher, 64), "token untouched while disabled");
     }
 
     // ── warm tier: factor-cache hits, misses, invalidation ───────────
@@ -2166,7 +1839,6 @@ mod tests {
             &breakers,
             &systems.iter().collect::<Vec<_>>(),
             &cfg(),
-            false,
             &VerifyPolicy::full(100.0),
         );
         assert_eq!(out.engine_label, "cpu-gep");

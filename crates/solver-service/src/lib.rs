@@ -15,7 +15,9 @@
 //!    flush of each `(n, element width, device)` key runs an autotune
 //!    tournament over [`gpu_solvers::GpuAlgorithm::paper_five`], the
 //!    global-memory fallback, and the CPU baseline; the winner is cached
-//!    in a [`PlanCache`] and reused in O(1). Every solution is verified
+//!    in a [`PlanCache`] and reused in O(1). With
+//!    [`ServiceConfig::verified`] set, only statically proven kernels
+//!    enter the tournament. Every solution is verified
 //!    against a residual bound and repaired with pivoted Gaussian
 //!    elimination when needed — the service never returns an unverified
 //!    answer.
@@ -72,9 +74,7 @@ pub use breaker::{Admission, BreakerConfig, BreakerState, CircuitBreakers};
 pub use dispatch::{serve_flush, DeviceCtx, DispatchConfig};
 pub use error::ServiceError;
 pub use metrics::{DegradationState, DeviceSnapshot, MetricsSnapshot, ServiceMetrics};
-pub use planner::{
-    autotune, autotune_ranked, autotune_ranked_on, CpuEngine, Engine, Plan, PlanCache,
-};
+pub use planner::{autotune_ranked_on, CpuEngine, Engine, Plan, PlanCache};
 pub use queue::{BoundedQueue, Pop, PushError};
 pub use request::{
     make_request, make_request_at, make_request_keyed, make_request_with_deadline, SolveRequest,

@@ -41,15 +41,11 @@ pub struct ServiceMetrics {
     flushes_linger: AtomicU64,
     flushes_deadline: AtomicU64,
     flushes_shutdown: AtomicU64,
-    sanitized_flushes: AtomicU64,
-    proof_skipped_sanitizes: AtomicU64,
     retries: AtomicU64,
     device_faults: AtomicU64,
     corruptions_caught: AtomicU64,
     degraded_flushes: AtomicU64,
     deadline_misses: AtomicU64,
-    sanitizer_errors: AtomicU64,
-    sanitizer_warnings: AtomicU64,
     factor_hits: AtomicU64,
     factor_misses: AtomicU64,
     factor_evictions: AtomicU64,
@@ -87,15 +83,11 @@ impl ServiceMetrics {
             flushes_linger: AtomicU64::new(0),
             flushes_deadline: AtomicU64::new(0),
             flushes_shutdown: AtomicU64::new(0),
-            sanitized_flushes: AtomicU64::new(0),
-            proof_skipped_sanitizes: AtomicU64::new(0),
             retries: AtomicU64::new(0),
             device_faults: AtomicU64::new(0),
             corruptions_caught: AtomicU64::new(0),
             degraded_flushes: AtomicU64::new(0),
             deadline_misses: AtomicU64::new(0),
-            sanitizer_errors: AtomicU64::new(0),
-            sanitizer_warnings: AtomicU64::new(0),
             factor_hits: AtomicU64::new(0),
             factor_misses: AtomicU64::new(0),
             factor_evictions: AtomicU64::new(0),
@@ -181,23 +173,6 @@ impl ServiceMetrics {
         self.deadline_misses.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// One flush ran under the kernel sanitizer (the first GPU flush of its
-    /// plan-cache size class), finding `errors` error-severity and
-    /// `warnings` warning-severity diagnostic sites.
-    pub fn on_flush_sanitized(&self, errors: u64, warnings: u64) {
-        self.sanitized_flushes.fetch_add(1, Ordering::Relaxed);
-        self.sanitizer_errors.fetch_add(errors, Ordering::Relaxed);
-        self.sanitizer_warnings.fetch_add(warnings, Ordering::Relaxed);
-    }
-
-    /// One first-flush dynamic sanitize skipped because the static proof
-    /// catalog already proves the planned kernel race/OOB/barrier-safe
-    /// for the whole size family (at most one skip per size class — the
-    /// skip consumes the same one-time token the sanitize would have).
-    pub fn on_sanitize_skipped_by_proof(&self) {
-        self.proof_skipped_sanitizes.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// One flush found its factorization in the cache (warm dispatch).
     pub fn on_factor_hit(&self) {
         self.factor_hits.fetch_add(1, Ordering::Relaxed);
@@ -273,8 +248,6 @@ impl ServiceMetrics {
             flushes_linger: self.flushes_linger.load(Ordering::Relaxed),
             flushes_deadline: self.flushes_deadline.load(Ordering::Relaxed),
             flushes_shutdown: self.flushes_shutdown.load(Ordering::Relaxed),
-            sanitized_flushes: self.sanitized_flushes.load(Ordering::Relaxed),
-            proof_skipped_sanitizes: self.proof_skipped_sanitizes.load(Ordering::Relaxed),
             degradation: DegradationState {
                 retries: self.retries.load(Ordering::Relaxed),
                 device_faults: self.device_faults.load(Ordering::Relaxed),
@@ -286,8 +259,6 @@ impl ServiceMetrics {
                 breaker_denials: 0,
                 breaker_states: BTreeMap::new(),
             },
-            sanitizer_errors: self.sanitizer_errors.load(Ordering::Relaxed),
-            sanitizer_warnings: self.sanitizer_warnings.load(Ordering::Relaxed),
             factor_hits: self.factor_hits.load(Ordering::Relaxed),
             factor_misses: self.factor_misses.load(Ordering::Relaxed),
             factor_evictions: self.factor_evictions.load(Ordering::Relaxed),
@@ -414,18 +385,6 @@ pub struct MetricsSnapshot {
     pub flushes_shutdown: u64,
     /// Resilience counters and breaker states (all-zero when healthy).
     pub degradation: DegradationState,
-    /// Flushes that ran under the kernel sanitizer (first GPU flush of
-    /// each plan-cache size class).
-    pub sanitized_flushes: u64,
-    /// First-flush sanitizes *replaced by a static proof*: size classes
-    /// whose planned kernel the `kernel-verify` proof catalog proves safe
-    /// skip the sanitized launch (at most one per size class).
-    pub proof_skipped_sanitizes: u64,
-    /// Error-severity sanitizer diagnostic sites found on serving traffic.
-    pub sanitizer_errors: u64,
-    /// Warning-severity sanitizer diagnostic sites (bank conflicts,
-    /// non-finite origins) found on serving traffic.
-    pub sanitizer_warnings: u64,
     /// Flushes whose factorization came from the cache (warm dispatch).
     /// Factor counters are *activity*, not degradation: a quiet
     /// [`DegradationState`] stays quiet however warm the traffic runs.
@@ -495,7 +454,7 @@ impl MetricsSnapshot {
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(512);
         s.push('{');
-        let scalars: [(&str, u64); 27] = [
+        let scalars: [(&str, u64); 23] = [
             ("submitted", self.submitted),
             ("completed", self.completed),
             ("rejected", self.rejected),
@@ -504,10 +463,6 @@ impl MetricsSnapshot {
             ("flushes_linger", self.flushes_linger),
             ("flushes_deadline", self.flushes_deadline),
             ("flushes_shutdown", self.flushes_shutdown),
-            ("sanitized_flushes", self.sanitized_flushes),
-            ("proof_skipped_sanitizes", self.proof_skipped_sanitizes),
-            ("sanitizer_errors", self.sanitizer_errors),
-            ("sanitizer_warnings", self.sanitizer_warnings),
             ("factor_hits", self.factor_hits),
             ("factor_misses", self.factor_misses),
             ("factor_evictions", self.factor_evictions),
@@ -732,7 +687,7 @@ mod tests {
         for key in [
             "\"submitted\":1",
             "\"completed\":1",
-            "\"proof_skipped_sanitizes\":0",
+            "\"flushes_linger\":1",
             "\"dispatch_systems\":{\"pcr\":1}",
             "\"occupancy_systems\":{\"1\":1}",
             "\"engine_ms\":{\"pcr\":0.125}",

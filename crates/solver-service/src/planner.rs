@@ -21,13 +21,20 @@
 //! baseline (timed first) beats that transfer alone, no GPU candidate can
 //! win and none is interpreted. The winner and its score are exactly the
 //! full tournament's; only the ranking behind the winner is left for
-//! [`PlanCache::ranking_for`] to complete if it is ever asked.
+//! [`PlanCache::ranking_for_on`] to complete if it is ever asked.
+//!
+//! A cache built with [`PlanCache::proven_only`] admits only **proven**
+//! kernels: every GPU candidate is looked up in its
+//! [`VerifiedCatalog`] first, and one the catalog does not prove
+//! race/OOB/barrier-safe for its whole size family is never interpreted
+//! on the probe, never planned and never on the fallback ladder.
 
-use gpu_sim::{Clock, Launcher};
+use gpu_sim::{Clock, DeviceConfig, Launcher};
 use gpu_solvers::{solve_batch, GpuAlgorithm};
-use std::collections::{HashMap, HashSet};
+use kernel_verify::VerifiedCatalog;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use tridiag_core::{Generator, Real, SystemBatch, Workload};
 
@@ -92,9 +99,8 @@ type Tuned = (Plan, Option<Vec<Engine>>);
 /// A PCIe-floor prune (see the module docs) defers the ranking.
 pub struct PlanCache {
     plans: Mutex<HashMap<PlanKey, Tuned>>,
-    /// Keys whose first GPU flush has (started) running under the kernel
-    /// sanitizer — see [`PlanCache::begin_sanitize`].
-    sanitized: Mutex<HashSet<PlanKey>>,
+    /// When set, only engines this catalog proves enter a tournament.
+    verified: Option<Arc<VerifiedCatalog>>,
     hits: AtomicU64,
     tunes: AtomicU64,
 }
@@ -106,24 +112,22 @@ impl Default for PlanCache {
 }
 
 impl PlanCache {
-    /// Creates an empty cache.
+    /// Creates an empty cache whose tournaments admit every candidate.
     pub fn new() -> Self {
         Self {
             plans: Mutex::new(HashMap::new()),
-            sanitized: Mutex::new(HashSet::new()),
+            verified: None,
             hits: AtomicU64::new(0),
             tunes: AtomicU64::new(0),
         }
     }
 
-    /// Claims the one-time sanitize token for the `(n, width, device)` size
-    /// class: returns `true` exactly once per key. The caller that wins the
-    /// token runs that flush with the kernel sanitizer recording, so every
-    /// size class the service ever serves on the GPU gets checked for
-    /// races/hazards/OOB at least once on real traffic.
-    pub fn begin_sanitize<T: Real>(&self, launcher: &Launcher, n: usize) -> bool {
-        let key: PlanKey = (n, T::BYTES, launcher.device.name);
-        self.sanitized.lock().unwrap_or_else(|p| p.into_inner()).insert(key)
+    /// Creates an empty cache whose tournaments admit only the GPU
+    /// candidates `catalog` proves for `(alg, n, width)` — proved (and
+    /// memoized) the first time a tournament asks. The CPU baseline
+    /// always competes, so every size class still gets a plan.
+    pub fn proven_only(catalog: Arc<VerifiedCatalog>) -> Self {
+        Self { verified: Some(catalog), ..Self::new() }
     }
 
     /// Plans served from cache without re-tuning.
@@ -137,15 +141,10 @@ impl PlanCache {
     }
 
     /// Returns the plan for size `n` with element type `T`, running the
-    /// tournament on first use of the key.
-    pub fn plan_for<T: Real>(&self, launcher: &Launcher, n: usize, probe_count: usize) -> Plan {
-        self.plan_for_on::<T>(launcher, n, probe_count, &Clock::real())
-    }
-
-    /// [`PlanCache::plan_for`] with the tournament timed on `clock` — a
-    /// simulated clock scores the CPU baseline with the deterministic cost
-    /// model instead of the wall, so replayed tournaments pick the same
-    /// winner bit-for-bit. The tournament is pruned by the PCIe floor (see
+    /// tournament on first use of the key, timed on `clock` — a simulated
+    /// clock scores the CPU baseline with the deterministic cost model
+    /// instead of the wall, so replayed tournaments pick the same winner
+    /// bit-for-bit. The tournament is pruned by the PCIe floor (see
     /// the module docs); the returned plan equals the full tournament's.
     pub fn plan_for_on<T: Real>(
         &self,
@@ -160,26 +159,16 @@ impl PlanCache {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return *plan;
         }
-        let (plan, ranking) = tournament::<T>(launcher, n, probe_count, clock, true);
+        let (plan, ranking) =
+            tournament::<T>(launcher, n, probe_count, clock, true, self.verified.as_deref());
         self.tunes.fetch_add(1, Ordering::Relaxed);
         plans.insert(key, (plan, ranking));
         plan
     }
 
     /// The full tournament ranking (best engine first) for size `n`,
-    /// tuning on first use exactly like [`PlanCache::plan_for`]. The
-    /// dispatcher walks this list when an engine keeps faulting.
-    pub fn ranking_for<T: Real>(
-        &self,
-        launcher: &Launcher,
-        n: usize,
-        probe_count: usize,
-    ) -> Vec<Engine> {
-        self.ranking_for_on::<T>(launcher, n, probe_count, &Clock::real())
-    }
-
-    /// [`PlanCache::ranking_for`] timed on `clock` (see
-    /// [`PlanCache::plan_for_on`] for why replay needs this). A pruned
+    /// tuning on first use exactly like [`PlanCache::plan_for_on`]. The
+    /// dispatcher walks this list when an engine keeps faulting. A pruned
     /// entry's ranking is completed here: its GPU candidates are scored
     /// once and ranked behind the cached CPU score, which still wins.
     pub fn ranking_for_on<T: Real>(
@@ -195,12 +184,19 @@ impl PlanCache {
             Some((_, Some(ranking))) => ranking.clone(),
             Some((plan, pruned @ None)) => {
                 let probe = gpu_probe::<T>(n, plan.probe_count);
-                let (_, ranking) =
-                    rank(gpu_scores(launcher, n, &probe), plan.predicted_ms, plan.probe_count);
+                let scores = gpu_scores(launcher, n, &probe, self.verified.as_deref());
+                let (_, ranking) = rank(scores, plan.predicted_ms, plan.probe_count);
                 pruned.insert(ranking).clone()
             }
             None => {
-                let (plan, ranking) = tournament::<T>(launcher, n, probe_count, clock, false);
+                let (plan, ranking) = tournament::<T>(
+                    launcher,
+                    n,
+                    probe_count,
+                    clock,
+                    false,
+                    self.verified.as_deref(),
+                );
                 self.tunes.fetch_add(1, Ordering::Relaxed);
                 let ranking = ranking.expect("an unpruned tournament ranks every candidate");
                 plans.insert(key, (plan, Some(ranking.clone())));
@@ -209,55 +205,43 @@ impl PlanCache {
         }
     }
 
-    /// Read-only peek, never tunes. For tests and introspection.
-    pub fn peek<T: Real>(&self, launcher: &Launcher, n: usize) -> Option<Plan> {
+    /// Read-only peek, never tunes.
+    #[cfg(test)]
+    fn peek<T: Real>(&self, launcher: &Launcher, n: usize) -> Option<Plan> {
         let key: PlanKey = (n, T::BYTES, launcher.device.name);
         self.plans.lock().unwrap_or_else(|p| p.into_inner()).get(&key).map(|(p, _)| *p)
     }
 }
 
-/// Runs the candidate tournament for size `n` and returns the winner.
+/// Runs the full candidate tournament for size `n`, unpruned and
+/// unfiltered, and returns the winner with the **full ranking**.
 ///
 /// Candidates:
-/// * the paper's five (with §5.3 switch points), each admitted only when
-///   [`GpuAlgorithm::fits_shared`] says its footprint fits the device;
-/// * [`GpuAlgorithm::CrGlobalOnly`] — always admitted for power-of-two
-///   sizes (the paper's oversized-system fallback);
-/// * the sequential CPU Thomas baseline, timed wall-clock.
+/// * the paper's five GPU kernels that accept `n` and fit shared memory,
+///   plus [`GpuAlgorithm::CrGlobalOnly`];
+/// * the sequential CPU Thomas baseline.
 ///
 /// Candidates that error on the probe (e.g. shared-memory overflow the
 /// admission rule missed) or return non-finite solutions (RD overflow on
-/// dominant systems, Figure 18) are disqualified rather than crowned.
-pub fn autotune<T: Real>(launcher: &Launcher, n: usize, probe_count: usize) -> Plan {
-    autotune_ranked::<T>(launcher, n, probe_count).0
-}
-
-/// [`autotune`], but also returning the **full ranking**: every candidate
-/// that survived the tournament (no probe error, finite solutions), sorted
-/// by score ascending. The CPU Thomas baseline is always present, so the
-/// ranking is never empty and always ends in an engine that cannot
-/// device-fault — the dispatcher's retry ladder terminates.
-pub fn autotune_ranked<T: Real>(
-    launcher: &Launcher,
-    n: usize,
-    probe_count: usize,
-) -> (Plan, Vec<Engine>) {
-    autotune_ranked_on::<T>(launcher, n, probe_count, &Clock::real())
-}
-
-/// [`autotune_ranked`] with the CPU baseline timed on `clock`: wall-clock
-/// on a real clock (production behaviour), the deterministic per-row cost
-/// model on a simulated one — a replayed tournament must score every
-/// candidate identically to the captured run, and the wall never repeats.
-/// GPU candidates are scored by the simulator's cost model either way,
-/// which is already deterministic.
+/// dominant systems, Figure 18) are disqualified rather than crowned. The
+/// ranking holds every survivor, sorted by score ascending; the CPU
+/// baseline is always present, so it is never empty and always ends in
+/// an engine that cannot device-fault — the dispatcher's retry ladder
+/// terminates.
+///
+/// The CPU baseline is timed on `clock`: wall-clock on a real clock
+/// (production behaviour), the deterministic per-row cost model on a
+/// simulated one — a replayed tournament must score every candidate
+/// identically to the captured run, and the wall never repeats. GPU
+/// candidates are scored by the simulator's cost model either way, which
+/// is already deterministic.
 pub fn autotune_ranked_on<T: Real>(
     launcher: &Launcher,
     n: usize,
     probe_count: usize,
     clock: &Clock,
 ) -> (Plan, Vec<Engine>) {
-    let (plan, ranking) = tournament::<T>(launcher, n, probe_count, clock, false);
+    let (plan, ranking) = tournament::<T>(launcher, n, probe_count, clock, false, None);
     (plan, ranking.expect("an unpruned tournament ranks every candidate"))
 }
 
@@ -265,13 +249,15 @@ pub fn autotune_ranked_on<T: Real>(
 /// The CPU baseline is timed first; with `prune` set and that time
 /// strictly below the probe's PCIe transfer — a floor under every GPU
 /// score — the GPU candidates are not run and the ranking is `None`. The
-/// plan is then exactly what the full tournament would return.
+/// plan is then exactly what the full tournament would return. With
+/// `verified` set, only the GPU candidates it proves compete.
 fn tournament<T: Real>(
     launcher: &Launcher,
     n: usize,
     probe_count: usize,
     clock: &Clock,
     prune: bool,
+    verified: Option<&VerifiedCatalog>,
 ) -> (Plan, Option<Vec<Engine>>) {
     let probe_count = probe_count.max(1);
     if n < 2 || !n.is_power_of_two() {
@@ -290,7 +276,7 @@ fn tournament<T: Real>(
             Plan { engine: Engine::Cpu(CpuEngine::Thomas), predicted_ms: cpu_ms, probe_count };
         return (plan, None);
     }
-    let (plan, ranking) = rank(gpu_scores(launcher, n, &probe), cpu_ms, probe_count);
+    let (plan, ranking) = rank(gpu_scores(launcher, n, &probe, verified), cpu_ms, probe_count);
     (plan, Some(ranking))
 }
 
@@ -308,22 +294,36 @@ fn gpu_probe<T: Real>(n: usize, probe_count: usize) -> SystemBatch<T> {
         .expect("probe batch generation cannot fail for n >= 2")
 }
 
-/// Scores the admissible GPU candidates (see [`autotune`]) on `probe` by
-/// simulated `total_ms`, leaving out any that error or overflow.
+/// The GPU kernels a tournament for a power-of-two `n` at width `T` may
+/// run on `device`: the paper's five (with §5.3 switch points), each
+/// admitted only when it accepts `n` and [`GpuAlgorithm::fits_shared`]
+/// says its footprint fits, plus [`GpuAlgorithm::CrGlobalOnly`] — always
+/// admitted (the paper's oversized-system fallback).
+fn candidates<T: Real>(device: &DeviceConfig, n: usize) -> Vec<GpuAlgorithm> {
+    let mut candidates: Vec<GpuAlgorithm> = GpuAlgorithm::paper_five(n)
+        .into_iter()
+        .filter(|alg| alg.validate(n).is_ok())
+        .filter(|alg| alg.fits_shared(n, T::BYTES, device))
+        .collect();
+    candidates.push(GpuAlgorithm::CrGlobalOnly);
+    candidates
+}
+
+/// Scores the [`candidates`] — only those `verified` proves, when set —
+/// on `probe` by simulated `total_ms`, leaving out any that error or
+/// overflow.
 fn gpu_scores<T: Real>(
     launcher: &Launcher,
     n: usize,
     probe: &SystemBatch<T>,
+    verified: Option<&VerifiedCatalog>,
 ) -> Vec<(Engine, f64)> {
-    let mut candidates: Vec<GpuAlgorithm> = GpuAlgorithm::paper_five(n)
-        .into_iter()
-        .filter(|alg| alg.validate(n).is_ok())
-        .filter(|alg| alg.fits_shared(n, T::BYTES, &launcher.device))
-        .collect();
-    candidates.push(GpuAlgorithm::CrGlobalOnly);
-
-    let mut scored: Vec<(Engine, f64)> = Vec::with_capacity(candidates.len() + 1);
-    for alg in candidates {
+    let device = &launcher.device;
+    let mut scored: Vec<(Engine, f64)> = Vec::new();
+    for alg in candidates::<T>(device, n) {
+        if verified.is_some_and(|catalog| !catalog.is_proven::<T>(device, alg, n)) {
+            continue; // unproven for its family — never interpreted
+        }
         let Ok(report) = solve_batch(launcher, alg, probe) else { continue };
         if report.solutions.first_non_finite().is_some() {
             continue; // overflowed on the probe — unfit to serve
@@ -377,6 +377,11 @@ fn time_cpu_thomas<T: Real>(batch: &SystemBatch<T>, clock: &Clock) -> f64 {
 mod tests {
     use super::*;
 
+    /// The full tournament's winner on the real clock.
+    fn autotune<T: Real>(launcher: &Launcher, n: usize, probe_count: usize) -> Plan {
+        autotune_ranked_on::<T>(launcher, n, probe_count, &Clock::real()).0
+    }
+
     #[test]
     fn engine_display_is_canonical() {
         assert_eq!(Engine::Gpu(GpuAlgorithm::CrPcr { m: 256 }).to_string(), "cr+pcr@256");
@@ -408,10 +413,10 @@ mod tests {
         let launcher = Launcher::gtx280();
         let cache = PlanCache::new();
         assert!(cache.peek::<f32>(&launcher, 128).is_none());
-        let first = cache.plan_for::<f32>(&launcher, 128, 4);
+        let first = cache.plan_for_on::<f32>(&launcher, 128, 4, &Clock::real());
         assert_eq!(cache.tunes(), 1);
         assert_eq!(cache.hits(), 0);
-        let second = cache.plan_for::<f32>(&launcher, 128, 4);
+        let second = cache.plan_for_on::<f32>(&launcher, 128, 4, &Clock::real());
         assert_eq!(cache.tunes(), 1, "second lookup must not re-tune");
         assert_eq!(cache.hits(), 1);
         assert_eq!(first, second);
@@ -424,8 +429,8 @@ mod tests {
         // separate cache entries.
         let launcher = Launcher::gtx280();
         let cache = PlanCache::new();
-        cache.plan_for::<f32>(&launcher, 256, 4);
-        cache.plan_for::<f64>(&launcher, 256, 4);
+        cache.plan_for_on::<f32>(&launcher, 256, 4, &Clock::real());
+        cache.plan_for_on::<f64>(&launcher, 256, 4, &Clock::real());
         assert_eq!(cache.tunes(), 2);
     }
 
@@ -448,11 +453,11 @@ mod tests {
     fn ranking_is_sorted_always_contains_cpu_and_shares_the_tune() {
         let launcher = Launcher::gtx280();
         let cache = PlanCache::new();
-        let ranking = cache.ranking_for::<f32>(&launcher, 256, 4);
+        let ranking = cache.ranking_for_on::<f32>(&launcher, 256, 4, &Clock::real());
         assert_eq!(cache.tunes(), 1);
         assert!(!ranking.is_empty());
         // The winner heads the list and matches the cached plan.
-        let plan = cache.plan_for::<f32>(&launcher, 256, 4);
+        let plan = cache.plan_for_on::<f32>(&launcher, 256, 4, &Clock::real());
         assert_eq!(cache.tunes(), 1, "ranking and plan share one tournament");
         assert_eq!(ranking[0], plan.engine);
         // The ladder always terminates in an engine that cannot fault.
@@ -529,9 +534,65 @@ mod tests {
     #[test]
     fn non_pow2_ranking_is_cpu_only() {
         let launcher = Launcher::gtx280();
-        let (plan, ranking) = autotune_ranked::<f32>(&launcher, 100, 4);
+        let (plan, ranking) = autotune_ranked_on::<f32>(&launcher, 100, 4, &Clock::real());
         assert_eq!(plan.engine, Engine::Cpu(CpuEngine::Thomas));
         assert_eq!(ranking, vec![Engine::Cpu(CpuEngine::Thomas)]);
+    }
+
+    /// Every GPU kernel a tournament can run at `T`, n = 4..=4096, on a
+    /// fresh catalog: `(alg, n)` pairs not `Proven`. Without this contract
+    /// a catalog-free service could plan a kernel no proof covers.
+    fn unproven_candidates<T: Real>() -> (usize, Vec<(GpuAlgorithm, usize)>) {
+        let device = DeviceConfig::gtx280();
+        let catalog = VerifiedCatalog::new();
+        let mut checked = 0;
+        let mut unproven = Vec::new();
+        for n in (2..=12).map(|k| 1usize << k) {
+            for alg in candidates::<T>(&device, n) {
+                checked += 1;
+                if !catalog.is_proven::<T>(&device, alg, n) {
+                    unproven.push((alg, n));
+                }
+            }
+        }
+        (checked, unproven)
+    }
+
+    #[test]
+    fn every_tournament_candidate_is_proven() {
+        let (f32_checked, f32_unproven) = unproven_candidates::<f32>();
+        let (f64_checked, f64_unproven) = unproven_candidates::<f64>();
+        assert!(f32_unproven.is_empty(), "f32: {f32_unproven:?}");
+        assert!(f64_unproven.is_empty(), "f64: {f64_unproven:?}");
+        assert_eq!(f32_checked + f64_checked, 97, "the whole candidate set was checked");
+    }
+
+    #[test]
+    fn a_catalog_keeps_unproven_kernels_off_the_ranking() {
+        // Proof families start at n = 4: at n = 2 no GPU candidate is
+        // proven, so a proven-only cache ranks the CPU alone.
+        let launcher = Launcher::gtx280();
+        let clock = Clock::sim();
+        let proven = PlanCache::proven_only(Arc::new(VerifiedCatalog::new()));
+        let ranking = proven.ranking_for_on::<f32>(&launcher, 2, 16, &clock);
+        assert_eq!(ranking, vec![Engine::Cpu(CpuEngine::Thomas)]);
+        let open = PlanCache::new().ranking_for_on::<f32>(&launcher, 2, 16, &clock);
+        assert!(open.iter().any(|e| matches!(e, Engine::Gpu(_))), "{open:?}");
+    }
+
+    #[test]
+    fn a_catalog_leaves_the_plans_of_proven_sizes_unchanged() {
+        let launcher = Launcher::gtx280();
+        let clock = Clock::sim();
+        let proven = PlanCache::proven_only(Arc::new(VerifiedCatalog::new()));
+        let open = PlanCache::new();
+        for n in [64usize, 512] {
+            assert_eq!(
+                proven.plan_for_on::<f32>(&launcher, n, 16, &clock),
+                open.plan_for_on::<f32>(&launcher, n, 16, &clock),
+                "n={n}"
+            );
+        }
     }
 
     #[test]

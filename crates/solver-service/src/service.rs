@@ -65,18 +65,19 @@ pub struct ServiceConfig {
     pub threshold_scale: f64,
     /// Probe batch size for autotune tournaments.
     pub probe_count: usize,
-    /// When set, every batch runs on this engine — planner and small-flush
-    /// CPU override bypassed (A-B testing / benchmarking knob).
+    /// When set, every batch runs on this engine — planner, small-flush
+    /// CPU override and the [`verified`](Self::verified) filter bypassed
+    /// (A-B testing / benchmarking knob).
     pub pin_engine: Option<crate::planner::Engine>,
-    /// Run the first GPU flush of each plan-cache size class with the
-    /// kernel sanitizer recording; findings land in the metrics and an
-    /// error-severity finding demotes that flush to the CPU safety net.
-    pub sanitize_first_flush: bool,
-    /// Static proof catalog for first-flush admission: a size class whose
-    /// planned kernel the catalog proves safe skips the sanitized launch
-    /// (counted in `MetricsSnapshot::proof_skipped_sanitizes`). `None`
-    /// (the default) sanitizes every first flush dynamically. Share one
-    /// `Arc` across services to amortize proofs between them.
+    /// Static proof catalog for planning. When set, the service's
+    /// [`PlanCache`] is [`PlanCache::proven_only`]: an autotune tournament
+    /// admits only the GPU kernels the catalog proves race/OOB/barrier-safe
+    /// for their whole size family (proved once, on the class's first
+    /// tournament), so an unproven kernel is never planned and never on
+    /// the fallback ladder. `None` (the default) admits every candidate;
+    /// every one of them is proven for n = 4..=4096, a contract the
+    /// planner's tests hold. Share one `Arc` across services to amortize
+    /// proofs between them.
     pub verified: Option<Arc<kernel_verify::VerifiedCatalog>>,
     /// Factorization cache for the warm serving tier. When set, every
     /// admitted system is identity-hashed (structure tag + content hash)
@@ -158,7 +159,6 @@ impl Default for ServiceConfig {
             threshold_scale: 100.0,
             probe_count: 16,
             pin_engine: None,
-            sanitize_first_flush: true,
             verified: None,
             factor_cache: None,
             certified: None,
@@ -251,7 +251,10 @@ impl<T: Real> SolverService<T> {
         let shared = Arc::new(Shared {
             queue: BoundedQueue::new(config.queue_capacity),
             metrics: ServiceMetrics::new(),
-            plans: PlanCache::new(),
+            plans: match config.verified {
+                Some(catalog) => PlanCache::proven_only(catalog),
+                None => PlanCache::new(),
+            },
             breakers: CircuitBreakers::with_clock(config.breaker, clock.clone())
                 .with_trace(trace.clone()),
             pool,
@@ -261,8 +264,6 @@ impl<T: Real> SolverService<T> {
                 threshold_scale: config.threshold_scale,
                 probe_count: config.probe_count,
                 pin_engine: config.pin_engine,
-                sanitize_first_flush: config.sanitize_first_flush,
-                verified: config.verified,
                 factor_cache: config.factor_cache,
                 certified: config.certified,
                 sightings: Arc::new(crate::sightings::Sightings::new()),
@@ -863,7 +864,6 @@ mod tests {
             pin_engine: Some(crate::planner::Engine::Gpu(gpu_solvers::GpuAlgorithm::CrPcr {
                 m: 16,
             })),
-            sanitize_first_flush: false,
             ..quick_config()
         };
         let service: SolverService<f32> = SolverService::start(config);
@@ -906,28 +906,22 @@ mod tests {
     }
 
     #[test]
-    fn proof_catalog_replaces_first_flush_sanitizes_end_to_end() {
-        let config = ServiceConfig {
-            pin_engine: Some(crate::planner::Engine::Gpu(gpu_solvers::GpuAlgorithm::CrPcr {
-                m: 16,
-            })),
-            verified: Some(Arc::new(kernel_verify::VerifiedCatalog::new())),
-            ..quick_config()
+    fn a_proof_catalog_makes_the_plan_cache_proven_only() {
+        // Proof families start at n = 4, so at n = 2 a proven-only cache
+        // ranks the CPU alone while an open one ranks GPU kernels too.
+        use crate::planner::{CpuEngine, Engine};
+        let ranking_at_2 = |verified| {
+            let service: SolverService<f32> =
+                SolverService::start(ServiceConfig { verified, ..quick_config() });
+            let launcher = Launcher::gtx280();
+            let ranking =
+                service.shared.plans.ranking_for_on::<f32>(&launcher, 2, 4, &Clock::sim());
+            service.shutdown();
+            ranking
         };
-        let service: SolverService<f32> = SolverService::start(config);
-        let mut generator = Generator::new(24);
-        for _ in 0..8 {
-            let resp =
-                service.submit_wait(generator.system(Workload::DiagonallyDominant, 64)).unwrap();
-            assert!(resp.residual < 1e-2, "{}", resp.residual);
-        }
-        let snap = service.shutdown();
-        assert_eq!(snap.completed, 8);
-        assert_eq!(snap.sanitized_flushes, 0, "the proof replaced every first-flush sanitize");
-        assert_eq!(snap.proof_skipped_sanitizes, 1, "one size class, one skip");
-        assert!(snap.degradation.is_quiet(), "a proof skip is not degradation");
-        let json = snap.to_json();
-        assert!(json.contains("\"proof_skipped_sanitizes\":1"), "{json}");
+        let catalog = Arc::new(kernel_verify::VerifiedCatalog::new());
+        assert_eq!(ranking_at_2(Some(catalog)), vec![Engine::Cpu(CpuEngine::Thomas)]);
+        assert!(ranking_at_2(None).iter().any(|e| matches!(e, Engine::Gpu(_))));
     }
 
     #[test]

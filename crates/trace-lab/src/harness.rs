@@ -116,8 +116,6 @@ pub fn run(scenario: &Scenario) -> RunOutput {
         min_gpu_batch: scenario.min_gpu_batch.max(1) as usize,
         pin_engine: (scenario.pin_cr_pcr_m > 0)
             .then_some(Engine::Gpu(GpuAlgorithm::CrPcr { m: scenario.pin_cr_pcr_m as usize })),
-        // The sanitizer is its own CI gate; lab runs skip its overhead.
-        sanitize_first_flush: false,
         clock: clock.clone(),
         trace: trace.clone(),
         factor_cache: factor_cache.clone(),

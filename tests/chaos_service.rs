@@ -264,7 +264,6 @@ fn serve_once(
     let cfg = DispatchConfig {
         min_gpu_batch: 1,
         pin_engine: Some(Engine::Gpu(GpuAlgorithm::CrPcr { m: 16 })),
-        sanitize_first_flush: false,
         ..DispatchConfig::default()
     };
     let mut generator = Generator::new(seed);
@@ -473,7 +472,6 @@ fn poisoned_warm_flush_is_repaired_and_the_entry_invalidated() {
     let cfg = DispatchConfig {
         min_gpu_batch: 1,
         pin_engine: Some(Engine::Gpu(GpuAlgorithm::CrPcr { m: 16 })),
-        sanitize_first_flush: false,
         factor_cache: Some(Arc::clone(&cache)),
         ..DispatchConfig::default()
     };
@@ -576,7 +574,6 @@ fn certified_bit_flip_is_caught_within_the_sampling_window_and_revokes() {
     let cfg = DispatchConfig {
         min_gpu_batch: 1,
         pin_engine: Some(Engine::Cpu(CpuEngine::Thomas)),
-        sanitize_first_flush: false,
         factor_cache: Some(Arc::clone(&cache)),
         certified: Some(Arc::clone(&catalog)),
         ..DispatchConfig::default()
