@@ -34,7 +34,7 @@ cargo run --offline --release -p bench -- sanitize --quick
 echo "==> chaos gate (bench chaos --quick)"
 cargo run --offline --release -p bench -- chaos --quick
 
-echo "==> pool gate (bench pool --quick)"
+echo "==> pool gate, 1-node cluster on the virtual clock (bench pool --quick)"
 cargo run --offline --release -p bench -- pool --quick
 
 echo "==> replay gate (bench replay --quick)"

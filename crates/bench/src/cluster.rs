@@ -28,7 +28,8 @@
 //!    CPU GEP / the l2 residual. Gate: every row verifies.
 //!
 //! Everything runs on the virtual clock: every cell is a deterministic
-//! replay of its cluster seed.
+//! replay of its cluster seed. The scaling and solve cells here also
+//! run the `pool` gate, whose cells are one-node clusters.
 
 use crate::cli::{self, EXIT_GATE_FAIL, EXIT_PASS};
 use crate::report::Table;
@@ -122,47 +123,46 @@ fn failover_workload(requests: usize) -> ClusterWorkload {
     ClusterWorkload { seed: 20100109, requests, sizes, interarrival: Duration::from_micros(25) }
 }
 
-/// Max per-device simulated busy time across every node — the cluster
-/// makespan (critical path of the fleet).
-fn cluster_makespan_ms(cluster: &cluster::Cluster) -> f64 {
-    (0..cluster.len())
-        .flat_map(|i| cluster.node(i).pool.devices().iter().map(|d| d.busy_ms()))
-        .fold(0.0f64, f64::max)
-        .max(1e-12)
-}
-
-/// Sum of per-device busy time — the serial work.
-fn cluster_work_ms(cluster: &cluster::Cluster) -> f64 {
-    (0..cluster.len())
-        .flat_map(|i| cluster.node(i).pool.devices().iter().map(|d| d.busy_ms()))
-        .sum()
-}
-
 /// Outcome of one scaling cell.
-struct ScalingCell {
-    nodes: usize,
-    completed: u64,
-    wrong: u64,
-    makespan_ms: f64,
-    work_ms: f64,
-    throughput: f64,
+pub(crate) struct ScalingCell {
+    pub(crate) completed: u64,
+    pub(crate) wrong: u64,
+    /// Max per-device simulated busy time across every node — the
+    /// makespan (critical path of the fleet).
+    pub(crate) makespan_ms: f64,
+    /// Sum of per-device busy time — the serial work.
+    pub(crate) work_ms: f64,
+    /// completed / makespan (requests per simulated ms).
+    pub(crate) throughput: f64,
 }
 
-fn drive_scaling(nodes: usize, cycles: usize) -> ScalingCell {
-    let mut cfg = ClusterConfig::new(nodes, DEVICES_PER_NODE);
-    cfg.vnodes = SCALING_VNODES;
+/// Streams `workload` through a fresh `cfg` cluster and distills the
+/// per-device books into a scaling cell.
+pub(crate) fn drive_scaling(
+    cfg: ClusterConfig,
+    svc: &ClusterServiceConfig,
+    workload: &ClusterWorkload,
+) -> ScalingCell {
     let mut cluster = cfg.build();
-    let svc = ClusterServiceConfig { pin_engine: Some(scaling_pin()), ..Default::default() };
-    let stats = run_cluster_service(&mut cluster, &svc, &scaling_workload(cycles));
-    let makespan_ms = cluster_makespan_ms(&cluster);
+    let stats = run_cluster_service(&mut cluster, svc, workload);
+    let busy: Vec<f64> =
+        cluster.nodes().iter().flat_map(|n| n.pool.devices().iter().map(|d| d.busy_ms())).collect();
+    let makespan_ms = busy.iter().copied().fold(0.0f64, f64::max).max(1e-12);
     ScalingCell {
-        nodes,
         completed: stats.completed,
         wrong: stats.wrong,
         makespan_ms,
-        work_ms: cluster_work_ms(&cluster),
+        work_ms: busy.iter().sum(),
         throughput: stats.completed as f64 / makespan_ms,
     }
+}
+
+/// The cluster gate's scaling cell at `nodes` nodes.
+fn scaling_cell(nodes: usize, cycles: usize) -> ScalingCell {
+    let mut cfg = ClusterConfig::new(nodes, DEVICES_PER_NODE);
+    cfg.vnodes = SCALING_VNODES;
+    let svc = ClusterServiceConfig { pin_engine: Some(scaling_pin()), ..Default::default() };
+    drive_scaling(cfg, &svc, &scaling_workload(cycles))
 }
 
 /// Outcome of the node-kill cell.
@@ -281,38 +281,54 @@ fn drive_heal(requests: usize) -> HealOutcome {
     }
 }
 
-/// Outcome of one two-level solve verification row.
-struct SolveCell {
-    nodes: usize,
-    n: usize,
-    verified: bool,
-    max_rel_err: f64,
-    residual: f64,
-    chunks: usize,
-    interface_rows: usize,
-    local_ms: f64,
-    interface_ms: f64,
-    net_ms: f64,
+/// The diagonally dominant n-row system both gates' large-n solve rows
+/// verify.
+pub(crate) fn large_system(n: usize) -> TridiagonalSystem<f64> {
+    Generator::new(20100109 ^ n as u64).system(Workload::DiagonallyDominant, n)
 }
 
-fn drive_solve(nodes: usize, n: usize, elementwise: bool) -> SolveCell {
-    let sys: TridiagonalSystem<f64> =
-        Generator::new(20100109 ^ n as u64).system(Workload::DiagonallyDominant, n);
-    let cluster = ClusterConfig::new(nodes, DEVICES_PER_NODE).build();
-    let report = solve_partitioned_cluster(&cluster, 0, &sys, 8).expect("cluster solve");
-    let residual = l2_residual(&sys, &report.x).expect("finite solution");
-    let (max_rel_err, elementwise_ok) = if elementwise {
-        let x_ref = cpu_solvers::gep::solve(&sys).expect("GEP reference");
-        let scale = x_ref.iter().fold(1.0f64, |m, v| m.max(v.abs()));
-        let max_rel =
-            report.x.iter().zip(&x_ref).map(|(x, r)| (x - r).abs() / scale).fold(0.0f64, f64::max);
-        (max_rel, max_rel < 1e-9)
-    } else {
-        (f64::NAN, true)
+/// Outcome of one partitioned-solve verification row.
+pub(crate) struct SolveCell {
+    pub(crate) verified: bool,
+    /// Element-wise error against GEP over the solution's max magnitude
+    /// (NaN on residual-only rows).
+    pub(crate) max_rel_err: f64,
+    pub(crate) residual: f64,
+    pub(crate) chunks: usize,
+    pub(crate) interface_rows: usize,
+    pub(crate) local_ms: f64,
+    pub(crate) interface_ms: f64,
+    pub(crate) backsubst_ms: f64,
+    pub(crate) net_ms: f64,
+}
+
+/// Solves `sys` on a fresh `cfg` cluster coordinated by node 0 and
+/// verifies it: element-wise against GEP when `x_ref` is given,
+/// residual-only otherwise.
+pub(crate) fn drive_solve(
+    cfg: ClusterConfig,
+    chunks_per_device: usize,
+    sys: &TridiagonalSystem<f64>,
+    x_ref: Option<&[f64]>,
+) -> SolveCell {
+    let cluster = cfg.build();
+    let report =
+        solve_partitioned_cluster(&cluster, 0, sys, chunks_per_device).expect("cluster solve");
+    let residual = l2_residual(sys, &report.x).expect("finite solution");
+    let (max_rel_err, elementwise_ok) = match x_ref {
+        Some(x_ref) => {
+            let scale = x_ref.iter().fold(1.0f64, |m, v| m.max(v.abs()));
+            let max_rel = report
+                .x
+                .iter()
+                .zip(x_ref)
+                .map(|(x, r)| (x - r).abs() / scale)
+                .fold(0.0f64, f64::max);
+            (max_rel, max_rel < 1e-9)
+        }
+        None => (f64::NAN, true),
     };
     SolveCell {
-        nodes,
-        n,
         verified: elementwise_ok && residual < 1e-6,
         max_rel_err,
         residual,
@@ -320,19 +336,20 @@ fn drive_solve(nodes: usize, n: usize, elementwise: bool) -> SolveCell {
         interface_rows: report.interface_rows,
         local_ms: report.timing.local_ms,
         interface_ms: report.timing.interface_ms,
+        backsubst_ms: report.timing.backsubst_ms,
         net_ms: report.timing.net_ms,
     }
 }
 
-fn json_scaling(cell: &ScalingCell, speedup: f64) -> String {
+fn json_scaling(nodes: usize, cell: &ScalingCell, speedup: f64) -> String {
     format!(
         concat!(
             "{{\"experiment\":\"cluster-scaling\",\"nodes\":{},\"devices\":{},",
             "\"completed\":{},\"wrong\":{},\"makespan_ms\":{:.3},\"work_ms\":{:.3},",
             "\"throughput_per_ms\":{:.3},\"speedup\":{:.2}}}"
         ),
-        cell.nodes,
-        cell.nodes * DEVICES_PER_NODE,
+        nodes,
+        nodes * DEVICES_PER_NODE,
         cell.completed,
         cell.wrong,
         cell.makespan_ms,
@@ -378,15 +395,15 @@ fn json_heal(out: &HealOutcome) -> String {
     )
 }
 
-fn json_solve(cell: &SolveCell) -> String {
+fn json_solve(nodes: usize, n: usize, cell: &SolveCell) -> String {
     format!(
         concat!(
             "{{\"experiment\":\"cluster-solve\",\"nodes\":{},\"n\":{},\"verified\":{},",
             "\"rel_err\":{},\"residual\":{:.3e},\"chunks\":{},\"interface_rows\":{},",
             "\"local_ms\":{:.4},\"interface_ms\":{:.4},\"net_ms\":{:.4}}}"
         ),
-        cell.nodes,
-        cell.n,
+        nodes,
+        n,
         cell.verified,
         if cell.max_rel_err.is_finite() {
             format!("{:.3e}", cell.max_rel_err)
@@ -501,7 +518,7 @@ pub fn run(args: &[String]) -> i32 {
     let mut gate_throughput: Option<f64> = None;
     for &nodes in node_counts {
         eprintln!("[cluster] scaling @ {nodes} node(s) ...");
-        let cell = drive_scaling(nodes, cycles);
+        let cell = scaling_cell(nodes, cycles);
         let speedup = match baseline {
             None => {
                 baseline = Some(cell.throughput);
@@ -526,7 +543,7 @@ pub fn run(args: &[String]) -> i32 {
             format!("{:.2}", cell.throughput),
             format!("{speedup:.2}x"),
         ]);
-        json.push(json_scaling(&cell, speedup));
+        json.push(json_scaling(nodes, &cell, speedup));
     }
     scaling.note(format!(
         "gate (baseline): {GATE_NODES}-node speedup and throughput vs baselines/cluster.json — \
@@ -609,9 +626,12 @@ pub fn run(args: &[String]) -> i32 {
         ],
     );
     for &(n, elementwise) in &sizes {
+        let sys = large_system(n);
+        let x_ref = elementwise.then(|| cpu_solvers::gep::solve(&sys).expect("GEP reference"));
         for &nodes in node_counts {
             eprintln!("[cluster] solve n=2^{} @ {nodes} node(s) ...", n.trailing_zeros());
-            let cell = drive_solve(nodes, n, elementwise);
+            let cfg = ClusterConfig::new(nodes, DEVICES_PER_NODE);
+            let cell = drive_solve(cfg, 8, &sys, x_ref.as_deref());
             failures += usize::from(!cell.verified);
             stable.row(vec![
                 nodes.to_string(),
@@ -624,7 +644,7 @@ pub fn run(args: &[String]) -> i32 {
                 format!("{:.2e}", cell.residual),
                 if cell.verified { "pass".into() } else { "FAIL".into() },
             ]);
-            json.push(json_solve(&cell));
+            json.push(json_solve(nodes, n, &cell));
         }
     }
     stable.note("gate: element-wise rel err < 1e-9 vs GEP (2^18) and l2 residual < 1e-6");
@@ -700,7 +720,10 @@ mod tests {
 
     #[test]
     fn solve_cell_verifies_at_2_16() {
-        let cell = drive_solve(4, 1 << 16, true);
+        let sys = large_system(1 << 16);
+        let x_ref = cpu_solvers::gep::solve(&sys).unwrap();
+        let cell =
+            drive_solve(ClusterConfig::new(4, DEVICES_PER_NODE), 8, &sys, Some(x_ref.as_slice()));
         assert!(cell.verified, "rel err {:.3e} residual {:.3e}", cell.max_rel_err, cell.residual);
         assert_eq!(cell.interface_rows, 2 * cell.chunks);
     }
@@ -730,8 +753,8 @@ mod tests {
 
     #[test]
     fn json_rows_are_balanced() {
-        let cell = drive_scaling(1, 1);
-        let line = json_scaling(&cell, 1.0);
+        let cell = scaling_cell(1, 1);
+        let line = json_scaling(1, &cell, 1.0);
         assert!(line.starts_with('{') && line.ends_with('}'));
         assert_eq!(line.matches('{').count(), line.matches('}').count());
     }

@@ -1,43 +1,44 @@
 //! The `pool` subcommand: multi-device scaling, failover, and large-n
-//! partitioned-solve verification on the simulated device pool.
+//! partitioned-solve verification on one node's device pool.
 //!
 //! ```text
 //! cargo run --release -p bench -- pool            # full sweep (1→8 devices)
 //! cargo run --release -p bench -- pool --quick    # CI gate subset
 //! ```
 //!
-//! Three experiments, three gates (exit 1 iff any fails):
+//! A device pool is a one-node cluster: every cell runs on a
+//! `ClusterConfig::new(1, devices)` cluster through the scaling and solve
+//! cells of the `cluster` gate, on the virtual clock, so every number
+//! is a deterministic replay of its seed. Three experiments, three gates
+//! (exit 1 iff any fails):
 //!
-//! 1. **Scaling** — a pinned-engine batched stream through
-//!    [`SolverService`] over pools of 1→8 devices. Aggregate throughput is
-//!    `completed / makespan`, where the makespan is the *max* per-device
-//!    simulated busy time (the critical path of a parallel node). Gate:
-//!    4 devices deliver ≥ 3× the 1-device throughput.
+//! 1. **Scaling** — a pinned-engine batched stream through the cluster
+//!    serving loop over pools of 1→8 devices; batches go round-robin over
+//!    the devices. Aggregate throughput is `completed / makespan`, where
+//!    the makespan is the *max* per-device simulated busy time (the
+//!    critical path of a parallel node). Gate: 4 devices deliver ≥ 3×
+//!    the 1-device throughput.
 //! 2. **Failover** — a 4-device pool where one device dies sticky
 //!    (`DeviceLost`) a few launches in. Gate: zero wrong answers,
 //!    availability ≥ 99%, and only the dead device's breaker opens.
-//! 3. **Partitioned large-n** — `solve_partitioned` at n = 2^16 (and
-//!    2^20 in the full sweep) on every pool size, verified against the
-//!    CPU GEP reference. Gate: every row verifies.
+//! 3. **Partitioned large-n** — the cluster partitioned solve at
+//!    n = 2^16 (and 2^20 in the full sweep) on every pool size, verified
+//!    against the CPU GEP reference. Gate: every row verifies.
+//!
+//! Wrong answers are counted by the serving loop from a residual it
+//! recomputes from the held system, never from the service's own report.
 
 use crate::cli::{self, EXIT_GATE_FAIL, EXIT_PASS};
+use crate::cluster::{drive_scaling, drive_solve, large_system, ScalingCell, SolveCell};
 use crate::report::Table;
-use device_pool::{solve_partitioned, PoolConfig};
+use cluster::{run_cluster_service, ClusterConfig, ClusterServiceConfig, ClusterWorkload};
 use gpu_sim::FaultConfig;
 use gpu_solvers::GpuAlgorithm;
-use solver_service::{Engine, ServiceConfig, ServiceError, SolverService, Ticket};
+use solver_service::Engine;
 use std::time::Duration;
-use tridiag_core::residual::l2_residual;
-use tridiag_core::{Generator, TridiagonalSystem, Workload};
 
 /// System size for the scaling stream (m = 32 divides it).
 const SCALING_N: usize = 256;
-
-/// Residual bound a response must beat to count as correct (f32 traffic).
-const RESIDUAL_BOUND: f64 = 1e-2;
-
-/// Submit attempts per request before declaring it shed.
-const MAX_SUBMIT_ATTEMPTS: usize = 200;
 
 /// The 4-device scaling point the gate reads.
 const GATE_DEVICES: usize = 4;
@@ -45,88 +46,31 @@ const GATE_DEVICES: usize = 4;
 /// Minimum 4-device speedup over 1 device the gate accepts.
 const GATE_SPEEDUP: f64 = 3.0;
 
-fn pin_engine() -> Engine {
-    Engine::Gpu(GpuAlgorithm::CrPcr { m: 32 })
-}
+/// The device the failover cell kills.
+const DEAD: usize = 2;
 
-/// Outcome of one scaling cell.
-struct ScalingCell {
-    devices: usize,
-    completed: u64,
-    wrong: u64,
-    /// Max per-device simulated busy time — the parallel makespan.
-    makespan_ms: f64,
-    /// Sum of per-device simulated busy time — the serial work.
-    work_ms: f64,
-    steals: u64,
-    /// completed / makespan (requests per simulated ms).
-    throughput: f64,
-}
+/// Chunks per device for the partitioned rows.
+const CHUNKS_PER_DEVICE: usize = 16;
 
-/// Streams `total` pinned-engine requests through a `devices`-wide pool
-/// and distills the per-device books into a scaling cell.
-fn drive_scaling(seed: u64, devices: usize, total: usize) -> ScalingCell {
-    let config = ServiceConfig {
+/// The serving knobs of every stream cell: batches of 8 pinned to
+/// `cr+pcr@32`, so each flush is one identical GPU launch.
+fn service() -> ClusterServiceConfig {
+    ClusterServiceConfig {
         target_batch: 8,
-        min_gpu_batch: 1,
         max_linger: Duration::from_millis(1),
-        pin_engine: Some(pin_engine()),
-        pool: Some(PoolConfig::new(devices)),
-        ..ServiceConfig::default()
-    };
-    let service: SolverService<f32> = SolverService::start(config);
-    let mut generator = Generator::new(seed);
-    let mut tickets: Vec<Ticket<f32>> = Vec::with_capacity(total);
-    for _ in 0..total {
-        let system = generator.system(Workload::DiagonallyDominant, SCALING_N);
-        submit_retrying(&service, system, &mut tickets);
-    }
-    let mut wrong = 0u64;
-    for ticket in tickets {
-        let response = ticket.wait();
-        if !response.residual.is_finite() || response.residual >= RESIDUAL_BOUND {
-            wrong += 1;
-        }
-    }
-    let snapshot = service.shutdown();
-    let makespan_ms =
-        snapshot.devices.iter().map(|d| d.device_ms).fold(0.0f64, f64::max).max(1e-12);
-    let work_ms: f64 = snapshot.devices.iter().map(|d| d.device_ms).sum();
-    let steals: u64 = snapshot.devices.iter().map(|d| d.steals).sum();
-    ScalingCell {
-        devices,
-        completed: snapshot.completed,
-        wrong,
-        makespan_ms,
-        work_ms,
-        steals,
-        throughput: snapshot.completed as f64 / makespan_ms,
+        min_gpu_batch: 1,
+        pin_engine: Some(Engine::Gpu(GpuAlgorithm::CrPcr { m: 32 })),
+        ..ClusterServiceConfig::default()
     }
 }
 
-/// Open-loop submit with bounded backpressure retries.
-fn submit_retrying(
-    service: &SolverService<f32>,
-    system: TridiagonalSystem<f32>,
-    tickets: &mut Vec<Ticket<f32>>,
-) {
-    let mut attempts = 0usize;
-    loop {
-        match service.submit(system.clone()) {
-            Ok(ticket) => {
-                tickets.push(ticket);
-                return;
-            }
-            Err(ServiceError::QueueFull { retry_after, .. }) if attempts < MAX_SUBMIT_ATTEMPTS => {
-                attempts += 1;
-                match retry_after {
-                    Some(hint) => std::thread::sleep(hint),
-                    None => std::thread::yield_now(),
-                }
-            }
-            Err(ServiceError::QueueFull { .. }) => return, // shed
-            Err(e) => panic!("service refused a valid request: {e}"),
-        }
+/// `total` n = 256 requests, 25 µs apart, generated from `seed`.
+fn stream(seed: u64, total: usize) -> ClusterWorkload {
+    ClusterWorkload {
+        seed,
+        requests: total,
+        sizes: vec![SCALING_N],
+        interarrival: Duration::from_micros(25),
     }
 }
 
@@ -153,136 +97,118 @@ impl FailoverOutcome {
     }
 }
 
-/// The failover cell: device `dead` of a 4-device pool is lost for good on
-/// its 4th launch, mid-stream.
+/// The failover cell: device [`DEAD`] of a 4-device pool is lost for good
+/// on its 4th launch, mid-stream.
 fn drive_failover(seed: u64, total: usize) -> FailoverOutcome {
-    const DEAD: usize = 2;
-    let mut pool_cfg = PoolConfig::new(4);
-    pool_cfg.fault_overrides =
-        vec![(DEAD, FaultConfig { device_lost_after: Some(3), ..FaultConfig::quiet(0) })];
-    let config = ServiceConfig {
-        target_batch: 8,
-        min_gpu_batch: 1,
-        max_linger: Duration::from_millis(1),
-        pin_engine: Some(pin_engine()),
-        pool: Some(pool_cfg),
-        ..ServiceConfig::default()
-    };
-    let service: SolverService<f32> = SolverService::start(config);
-    let mut generator = Generator::new(seed);
-    let mut tickets: Vec<Ticket<f32>> = Vec::with_capacity(total);
-    // Feed the stream in small waves until the doomed device has actually
-    // tripped its fault, then pour in the remainder. Without this pacing an
-    // oversubscribed host can let the survivors steal every flush routed to
-    // the doomed device before its worker ever launches a kernel, and the
-    // cell would end with all four devices healthy.
-    let mut submitted = 0usize;
-    while submitted < total {
-        let wave = 8.min(total - submitted);
-        for _ in 0..wave {
-            let system = generator.system(Workload::DiagonallyDominant, SCALING_N);
-            submit_retrying(&service, system, &mut tickets);
-            submitted += 1;
-        }
-        let dead_down = service.metrics().devices.iter().any(|d| d.id == DEAD && d.lost);
-        if dead_down {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    for _ in submitted..total {
-        let system = generator.system(Workload::DiagonallyDominant, SCALING_N);
-        submit_retrying(&service, system, &mut tickets);
-    }
-    let mut wrong = 0u64;
-    for ticket in tickets {
-        let response = ticket.wait();
-        if !response.residual.is_finite() || response.residual >= RESIDUAL_BOUND {
-            wrong += 1;
-        }
-    }
-    let snapshot = service.shutdown();
-    let dead = snapshot.devices.iter().find(|d| d.id == DEAD).expect("dead device gauge");
-    let survivors: Vec<_> = snapshot.devices.iter().filter(|d| d.id != DEAD).collect();
+    let mut cfg = ClusterConfig::new(1, 4);
+    cfg.device_fault_overrides =
+        vec![(0, DEAD, FaultConfig { device_lost_after: Some(3), ..FaultConfig::quiet(0) })];
+    let mut cluster = cfg.build();
+    let stats = run_cluster_service(&mut cluster, &service(), &stream(seed, total));
+    let node = cluster.node(0);
+    let breakers = node.engine_breakers.states();
+    let device_breakers =
+        |id: usize| breakers.iter().filter(move |(key, _)| key.starts_with(&format!("dev{id}:")));
+    let survivors = node.pool.devices().iter().filter(|d| d.id != DEAD);
     FailoverOutcome {
         total,
-        completed: snapshot.completed,
-        wrong,
-        availability: snapshot.completed as f64 / total.max(1) as f64,
-        dead_lost: dead.lost,
-        dead_breaker_open: dead.breaker == "open",
-        survivors_quiet: survivors.iter().all(|d| !d.lost && d.breaker == "closed"),
-        survivor_dispatched: survivors.iter().map(|d| d.dispatched).sum(),
+        completed: stats.completed,
+        wrong: stats.wrong,
+        availability: stats.completed as f64 / total.max(1) as f64,
+        dead_lost: node.pool.is_lost(DEAD),
+        dead_breaker_open: device_breakers(DEAD).any(|(_, state)| state == "open"),
+        survivors_quiet: survivors
+            .clone()
+            .all(|d| !d.is_lost() && device_breakers(d.id).all(|(_, state)| state == "closed")),
+        survivor_dispatched: survivors.map(|d| d.dispatched()).sum(),
     }
 }
 
-/// Outcome of one partitioned large-n verification row.
-struct PartitionedCell {
-    devices: usize,
-    n: usize,
-    verified: bool,
-    max_rel_err: f64,
-    residual: f64,
-    chunks: usize,
-    interface_rows: usize,
-    local_ms: f64,
-    interface_ms: f64,
-    backsubst_ms: f64,
+/// Every cell of one sweep, in report order.
+struct PoolRun {
+    /// `(devices, cell, speedup over the first row)`.
+    scaling: Vec<(usize, ScalingCell, f64)>,
+    failover: FailoverOutcome,
+    /// `(devices, n, cell)`.
+    partitioned: Vec<(usize, usize, SolveCell)>,
 }
 
-/// Solves an n-row system across `devices` and verifies it: element-wise
-/// against GEP when `x_ref` is given, residual-only otherwise.
-fn drive_partitioned(
-    seed: u64,
-    devices: usize,
-    n: usize,
-    x_ref: Option<&[f64]>,
-    sys: &TridiagonalSystem<f64>,
-) -> PartitionedCell {
-    let _ = seed;
-    let pool = PoolConfig::new(devices).build();
-    let report = solve_partitioned(&pool, sys, 16).expect("partitioned solve");
-    let residual = l2_residual(sys, &report.x).expect("finite solution");
-    let (max_rel_err, elementwise_ok) = match x_ref {
-        Some(x_ref) => {
-            let scale = x_ref.iter().fold(1.0f64, |m, v| m.max(v.abs()));
-            let max_rel = report
-                .x
-                .iter()
-                .zip(x_ref)
-                .map(|(x, r)| (x - r).abs() / scale)
-                .fold(0.0f64, f64::max);
-            (max_rel, max_rel < 1e-9)
+impl PoolRun {
+    fn measure(quick: bool) -> Self {
+        let seed = 20100109;
+        let total = if quick { 192 } else { 512 };
+        let device_counts: &[usize] = if quick { &[1, 4] } else { &[1, 2, 4, 8] };
+
+        let mut scaling: Vec<(usize, ScalingCell, f64)> = Vec::new();
+        for &devices in device_counts {
+            eprintln!("[pool] scaling @ {devices} device(s) ...");
+            let cfg = ClusterConfig::new(1, devices);
+            let cell = drive_scaling(cfg, &service(), &stream(seed, total));
+            let speedup = match scaling.first() {
+                Some((_, base, _)) => cell.throughput / base.throughput,
+                None => 1.0,
+            };
+            scaling.push((devices, cell, speedup));
         }
-        None => (f64::NAN, true),
-    };
-    PartitionedCell {
-        devices,
-        n,
-        verified: elementwise_ok && residual < 1e-6,
-        max_rel_err,
-        residual,
-        chunks: report.chunks_total,
-        interface_rows: report.interface_rows,
-        local_ms: report.timing.local_ms,
-        interface_ms: report.timing.interface_ms,
-        backsubst_ms: report.timing.backsubst_ms,
+
+        eprintln!("[pool] failover (device {DEAD} lost mid-stream) ...");
+        let failover = drive_failover(seed ^ 0xF01, total);
+
+        // 2^20 rides residual-only: a GEP reference at that size is fine,
+        // but element-wise comparison adds nothing the residual misses.
+        let mut sizes: Vec<(usize, bool)> = vec![(1 << 16, true)];
+        if !quick {
+            sizes.push((1 << 20, false));
+        }
+        let mut partitioned = Vec::new();
+        for (n, elementwise) in sizes {
+            let sys = large_system(n);
+            let x_ref = elementwise.then(|| cpu_solvers::gep::solve(&sys).expect("GEP reference"));
+            for &devices in device_counts {
+                eprintln!(
+                    "[pool] partitioned n=2^{} @ {devices} device(s) ...",
+                    n.trailing_zeros()
+                );
+                let cfg = ClusterConfig::new(1, devices);
+                partitioned.push((
+                    devices,
+                    n,
+                    drive_solve(cfg, CHUNKS_PER_DEVICE, &sys, x_ref.as_deref()),
+                ));
+            }
+        }
+        Self { scaling, failover, partitioned }
+    }
+
+    /// The gated 4-device scaling row, if the sweep ran it.
+    fn gate_row(&self) -> Option<&(usize, ScalingCell, f64)> {
+        self.scaling.iter().find(|(devices, _, _)| *devices == GATE_DEVICES)
+    }
+
+    fn json_rows(&self) -> Vec<String> {
+        let mut rows: Vec<String> = self
+            .scaling
+            .iter()
+            .map(|(d, cell, speedup)| json_scaling(*d, cell, *speedup))
+            .collect();
+        rows.push(json_failover(&self.failover));
+        rows.extend(self.partitioned.iter().map(|(d, n, cell)| json_partitioned(*d, *n, cell)));
+        rows
     }
 }
 
-fn json_scaling(cell: &ScalingCell, speedup: f64) -> String {
+fn json_scaling(devices: usize, cell: &ScalingCell, speedup: f64) -> String {
     format!(
         concat!(
             "{{\"experiment\":\"pool-scaling\",\"devices\":{},\"completed\":{},",
-            "\"wrong\":{},\"makespan_ms\":{:.3},\"work_ms\":{:.3},\"steals\":{},",
+            "\"wrong\":{},\"makespan_ms\":{:.3},\"work_ms\":{:.3},",
             "\"throughput_per_ms\":{:.3},\"speedup\":{:.2}}}"
         ),
-        cell.devices,
+        devices,
         cell.completed,
         cell.wrong,
         cell.makespan_ms,
         cell.work_ms,
-        cell.steals,
         cell.throughput,
         speedup,
     )
@@ -306,15 +232,15 @@ fn json_failover(out: &FailoverOutcome) -> String {
     )
 }
 
-fn json_partitioned(cell: &PartitionedCell) -> String {
+fn json_partitioned(devices: usize, n: usize, cell: &SolveCell) -> String {
     format!(
         concat!(
             "{{\"experiment\":\"pool-partitioned\",\"devices\":{},\"n\":{},",
             "\"verified\":{},\"residual\":{:.3e},\"chunks\":{},\"interface_rows\":{},",
             "\"local_ms\":{:.4},\"interface_ms\":{:.4},\"backsubst_ms\":{:.4}}}"
         ),
-        cell.devices,
-        cell.n,
+        devices,
+        n,
         cell.verified,
         cell.residual,
         cell.chunks,
@@ -378,56 +304,33 @@ pub fn run(args: &[String]) -> i32 {
         Err(code) => return code,
     };
     let quick = parsed.quick;
-    let seed = 20100109;
-    let total = if quick { 192 } else { 512 };
-    let device_counts: &[usize] = if quick { &[1, 4] } else { &[1, 2, 4, 8] };
+    let sweep = PoolRun::measure(quick);
     let mut failures = 0usize;
-    let mut json = Vec::new();
 
     // 1. Scaling.
+    let total = sweep.failover.total;
     let mut scaling = Table::new(
         format!(
-            "Pool scaling: {total} pinned cr+pcr@32 requests (n = {SCALING_N}), \
-             round-robin sharding, throughput = completed / max per-device busy ms"
+            "Pool scaling: {total} pinned cr+pcr@32 requests (n = {SCALING_N}) on a 1-node \
+             cluster, round-robin over devices, throughput = completed / max per-device busy ms"
         ),
-        &["devices", "completed", "wrong", "makespan ms", "work ms", "steals", "req/ms", "speedup"],
+        &["devices", "completed", "wrong", "makespan ms", "work ms", "req/ms", "speedup"],
     );
-    let mut baseline: Option<f64> = None;
-    let mut gate_speedup: Option<f64> = None;
-    let mut gate_throughput: Option<f64> = None;
-    for &devices in device_counts {
-        eprintln!("[pool] scaling @ {devices} device(s) ...");
-        let cell = drive_scaling(seed, devices, total);
-        let speedup = match baseline {
-            None => {
-                baseline = Some(cell.throughput);
-                1.0
-            }
-            Some(base) => cell.throughput / base,
-        };
-        if devices == GATE_DEVICES {
-            gate_speedup = Some(speedup);
-            gate_throughput = Some(cell.throughput);
-        }
-        if cell.wrong > 0 {
-            failures += 1;
-        }
+    for (devices, cell, speedup) in &sweep.scaling {
+        failures += usize::from(cell.wrong > 0 || cell.completed != total as u64);
         scaling.row(vec![
             devices.to_string(),
             cell.completed.to_string(),
             cell.wrong.to_string(),
             format!("{:.3}", cell.makespan_ms),
             format!("{:.3}", cell.work_ms),
-            cell.steals.to_string(),
             format!("{:.2}", cell.throughput),
             format!("{speedup:.2}x"),
         ]);
-        json.push(json_scaling(&cell, speedup));
     }
-    let speedup_ok = gate_speedup.is_some_and(|s| s >= GATE_SPEEDUP);
-    if !speedup_ok {
-        failures += 1;
-    }
+    let gate_speedup = sweep.gate_row().map(|(_, _, speedup)| *speedup);
+    let gate_throughput = sweep.gate_row().map(|(_, cell, _)| cell.throughput);
+    failures += usize::from(!gate_speedup.is_some_and(|s| s >= GATE_SPEEDUP));
     scaling.note(format!(
         "gate: {GATE_DEVICES}-device speedup >= {GATE_SPEEDUP:.0}x over 1 device — measured {}",
         gate_speedup.map_or("n/a".to_string(), |s| format!("{s:.2}x")),
@@ -436,12 +339,11 @@ pub fn run(args: &[String]) -> i32 {
     println!("{scaling}");
 
     // 2. Failover.
-    eprintln!("[pool] failover (device 2 lost mid-stream) ...");
-    let failover = drive_failover(seed ^ 0xF01, total);
+    let failover = &sweep.failover;
     let failover_ok = failover.passes();
     failures += usize::from(!failover_ok);
     let mut ftable = Table::new(
-        "Pool failover: 4 devices, device 2 lost for good on its 4th launch",
+        format!("Pool failover: 4 devices, device {DEAD} lost for good on its 4th launch"),
         &["requests", "completed", "wrong", "avail %", "dead lost", "breakers", "gate"],
     );
     ftable.row(vec![
@@ -451,7 +353,7 @@ pub fn run(args: &[String]) -> i32 {
         format!("{:.1}", failover.availability * 100.0),
         failover.dead_lost.to_string(),
         format!(
-            "dev2 {}, survivors {}",
+            "dev{DEAD} {}, survivors {}",
             if failover.dead_breaker_open { "open" } else { "NOT open" },
             if failover.survivors_quiet { "closed" } else { "NOT closed" }
         ),
@@ -459,15 +361,8 @@ pub fn run(args: &[String]) -> i32 {
     ]);
     ftable.note("gate: wrong = 0, availability >= 99%, only the dead device's breaker opens");
     println!("{ftable}");
-    json.push(json_failover(&failover));
 
     // 3. Partitioned large-n verification.
-    let mut sizes: Vec<(usize, bool)> = vec![(1 << 16, true)];
-    if !quick {
-        // 2^20 rides residual-only: a GEP reference at that size is fine,
-        // but element-wise comparison adds nothing the residual misses.
-        sizes.push((1 << 20, false));
-    }
     let mut ptable = Table::new(
         "Partitioned large-n solves across the pool (modified Thomas -> PCR interface -> \
          back-substitution), verified against CPU GEP",
@@ -484,40 +379,29 @@ pub fn run(args: &[String]) -> i32 {
             "gate",
         ],
     );
-    for &(n, elementwise) in &sizes {
-        let sys: TridiagonalSystem<f64> =
-            Generator::new(seed ^ n as u64).system(Workload::DiagonallyDominant, n);
-        let x_ref = if elementwise {
-            Some(cpu_solvers::gep::solve(&sys).expect("GEP reference"))
-        } else {
-            None
-        };
-        for &devices in device_counts {
-            eprintln!("[pool] partitioned n=2^{} @ {devices} device(s) ...", n.trailing_zeros());
-            let cell = drive_partitioned(seed, devices, n, x_ref.as_deref(), &sys);
-            failures += usize::from(!cell.verified);
-            ptable.row(vec![
-                devices.to_string(),
-                format!("2^{}", n.trailing_zeros()),
-                cell.chunks.to_string(),
-                cell.interface_rows.to_string(),
-                format!("{:.4}", cell.local_ms),
-                format!("{:.4}", cell.interface_ms),
-                format!("{:.4}", cell.backsubst_ms),
-                if cell.max_rel_err.is_nan() {
-                    "-".to_string()
-                } else {
-                    format!("{:.2e}", cell.max_rel_err)
-                },
-                format!("{:.2e}", cell.residual),
-                if cell.verified { "pass".into() } else { "FAIL".into() },
-            ]);
-            json.push(json_partitioned(&cell));
-        }
+    for (devices, n, cell) in &sweep.partitioned {
+        failures += usize::from(!cell.verified);
+        ptable.row(vec![
+            devices.to_string(),
+            format!("2^{}", n.trailing_zeros()),
+            cell.chunks.to_string(),
+            cell.interface_rows.to_string(),
+            format!("{:.4}", cell.local_ms),
+            format!("{:.4}", cell.interface_ms),
+            format!("{:.4}", cell.backsubst_ms),
+            if cell.max_rel_err.is_nan() {
+                "-".to_string()
+            } else {
+                format!("{:.2e}", cell.max_rel_err)
+            },
+            format!("{:.2e}", cell.residual),
+            if cell.verified { "pass".into() } else { "FAIL".into() },
+        ]);
     }
     ptable.note("gate: element-wise rel err < 1e-9 vs GEP (2^16) and l2 residual < 1e-6");
     println!("{ptable}");
 
+    let json = sweep.json_rows();
     if parsed.json {
         for line in &json {
             println!("{line}");
@@ -556,26 +440,12 @@ mod tests {
 
     #[test]
     fn scaling_four_devices_beats_three_x() {
-        // The makespan is simulated device time, but *which* device a flush
-        // lands on depends on wall-clock worker scheduling: when the test
-        // harness oversubscribes the host, a starved worker's backlog gets
-        // stolen and the spread (and so the speedup) degrades. A long
-        // stream amortises transient starvation, and best-of-three rides
-        // out a pathological run; `repro pool` remains the standalone gate.
-        const TOTAL: usize = 768;
-        let mut best = 0.0f64;
-        for attempt in 0u64..3 {
-            let one = drive_scaling(3 + attempt, 1, TOTAL);
-            let four = drive_scaling(3 + attempt, GATE_DEVICES, TOTAL);
-            assert_eq!(one.wrong + four.wrong, 0);
-            assert_eq!(one.completed, TOTAL as u64);
-            assert_eq!(four.completed, TOTAL as u64);
-            best = best.max(four.throughput / one.throughput);
-            if best >= GATE_SPEEDUP {
-                break;
-            }
-        }
-        assert!(best >= GATE_SPEEDUP, "4-device speedup {best:.2} < {GATE_SPEEDUP} (best of 3)");
+        let one = drive_scaling(ClusterConfig::new(1, 1), &service(), &stream(3, 192));
+        let four = drive_scaling(ClusterConfig::new(1, GATE_DEVICES), &service(), &stream(3, 192));
+        assert_eq!(one.wrong + four.wrong, 0);
+        assert_eq!((one.completed, four.completed), (192, 192));
+        let speedup = four.throughput / one.throughput;
+        assert!(speedup >= GATE_SPEEDUP, "4-device speedup {speedup:.2} < {GATE_SPEEDUP}");
     }
 
     #[test]
@@ -594,20 +464,21 @@ mod tests {
 
     #[test]
     fn partitioned_cell_verifies_at_2_16() {
-        let n = 1 << 16;
-        let sys: TridiagonalSystem<f64> = Generator::new(9).system(Workload::DiagonallyDominant, n);
+        let sys = large_system(1 << 16);
         let x_ref = cpu_solvers::gep::solve(&sys).unwrap();
-        let cell = drive_partitioned(9, 4, n, Some(&x_ref), &sys);
+        let cell = drive_solve(ClusterConfig::new(1, 4), CHUNKS_PER_DEVICE, &sys, Some(&x_ref));
         assert!(cell.verified, "rel err {:.3e} residual {:.3e}", cell.max_rel_err, cell.residual);
         assert_eq!(cell.interface_rows, 2 * cell.chunks);
     }
 
     #[test]
-    fn json_rows_are_balanced() {
-        let cell = drive_scaling(1, 2, 24);
-        let line = json_scaling(&cell, 1.5);
-        assert!(line.starts_with('{') && line.ends_with('}'));
-        assert_eq!(line.matches('{').count(), line.matches('}').count());
+    fn quick_sweep_rows_are_identical_across_runs() {
+        let (a, b) = (PoolRun::measure(true).json_rows(), PoolRun::measure(true).json_rows());
+        assert_eq!(a, b, "the pool gate must be a deterministic replay");
+        for line in &a {
+            assert!(line.starts_with('{') && line.ends_with('}'));
+            assert_eq!(line.matches('{').count(), line.matches('}').count());
+        }
     }
 
     #[test]

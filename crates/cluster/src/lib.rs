@@ -17,15 +17,17 @@
 //! - **[`ring`]** — consistent hashing of plan-cache keys: each size
 //!   class has a sticky home node (autotune once, cluster-wide) and a
 //!   deterministic failover order in which only a dead node's keys move.
-//! - **[`solve`]** — the two-level partitioned solve: node-local
+//! - **[`solve`]** — the only multi-device partitioned solve: node-local
 //!   modified-Thomas reduction on each pool, one small interface system
-//!   on the coordinator, fan-out back-substitution — the substructuring
-//!   algebra of the single pool, one level up, opening `n` far beyond
-//!   one node.
+//!   on the coordinator, fan-out back-substitution. A single device pool
+//!   is a one-node cluster (`ClusterConfig::new(1, devices)`): no RPC,
+//!   no network cost, the same algebra.
 //! - **[`service`]** — cluster dispatch: batches route on the ring, ride
 //!   deadline-guarded hedged RPCs, and fail over ring → retry → local
 //!   degrade so a dead or partitioned node's backlog drains to survivors
-//!   with zero wrong answers and zero losses.
+//!   with zero wrong answers and zero losses. Within a node, batches go
+//!   round-robin over the healthy devices, and every delivered answer is
+//!   judged by a residual recomputed from the held system.
 //!
 //! Every stochastic decision is a pure function of the cluster seed (per
 //! link, per message) and every structural fault is a tick window on the

@@ -84,9 +84,4 @@ impl ClusterNode {
     pub fn restarts(&self) -> u64 {
         self.restarts
     }
-
-    /// True when the pool still has at least one healthy device.
-    pub fn has_healthy_device(&self) -> bool {
-        !self.pool.healthy().is_empty()
-    }
 }

@@ -9,20 +9,22 @@
 //! interface system, solves it with PCR on a local device, and fans the
 //! interface solution back out for parallel back-substitution.
 //!
-//! This is the same substructuring algebra as
-//! [`device_pool::solve_partitioned`] — the reduction is associative, so
-//! cutting by node first and device second yields the *same* interface
-//! system as a flat cut over all devices; only the transport between the
-//! cuts differs. That is what opens `n` far beyond a single pool: the
-//! interface stays `2 × total chunks` rows no matter how many nodes feed
-//! it.
+//! This is the only multi-device partitioned solve; a single
+//! device pool is a one-node cluster, where every phase runs locally on
+//! the coordinator and the network costs nothing. The reduction is
+//! associative, so cutting by node first and device second yields the
+//! *same* interface system as a flat cut over all devices: a 2×2 cluster
+//! and a 1×4 cluster return bit-identical solutions. That is what opens
+//! `n` far beyond a single pool: the interface stays `2 × total chunks`
+//! rows no matter how many nodes feed it. The kernel-level building
+//! blocks (`local_reduce`, `solve_interface`, `back_substitute`) are
+//! shared with `gpu_solvers::solve_partitioned_single`.
 //!
 //! Adversity at every layer funnels into one replan loop: an RPC that
 //! exhausts its retries excludes that **node** for this solve (the
 //! coordinator cannot tell a dead node from a dead link — and does not
 //! need to); a `DeviceLost` inside a node marks that **device** lost in
-//! the node's pool and replans over the survivors. Exactly like the
-//! single-pool solve, just one level up.
+//! the node's pool and replans over the survivors.
 
 use crate::cluster::Cluster;
 use gpu_solvers::partitioned::{
@@ -371,4 +373,48 @@ fn try_solve<T: Real>(
             net_ms: net_ms + scatter_net,
         },
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn devices_of(plans: &[NodePlan]) -> Vec<&DevicePlan> {
+        plans.iter().flat_map(|p| &p.devices).collect()
+    }
+
+    #[test]
+    fn one_node_plan_covers_n_with_min_chunks_and_cap() {
+        let plans = plan_cluster(1000, &[(0, vec![0, 1, 2, 3])], 8, 512).unwrap();
+        let devs = devices_of(&plans);
+        assert_eq!(devs.len(), 4);
+        assert_eq!(devs[0].start, 0);
+        assert_eq!(devs.last().unwrap().end, 1000);
+        for w in devs.windows(2) {
+            assert_eq!(w[0].end, w[1].start, "device spans must tile");
+        }
+        let chunks: usize = devs.iter().map(|d| d.offsets.len() - 1).sum();
+        assert!(2 * chunks <= 512);
+        // Tiny system: falls back to fewer devices than offered.
+        let plans = plan_cluster(7, &[(0, vec![0, 1, 2, 3])], 8, 512).unwrap();
+        let devs = devices_of(&plans);
+        assert!(devs.len() <= 3, "7 rows cannot feed 4 chunks of >= 2: {}", devs.len());
+        assert_eq!(devs.last().unwrap().end, 7);
+    }
+
+    #[test]
+    fn one_node_plan_splits_a_prime_size_unevenly() {
+        // n = 1021 (prime) over 4 devices → spans 256/255/255/255.
+        let plans = plan_cluster(1021, &[(0, vec![0, 1, 2, 3])], 5, 512).unwrap();
+        let lens: Vec<usize> = devices_of(&plans).iter().map(|d| d.end - d.start).collect();
+        assert_eq!(lens, vec![256, 255, 255, 255]);
+    }
+
+    #[test]
+    fn one_node_plan_respects_interface_cap() {
+        // cap 16 → at most 8 chunks total across 4 devices → 2 per device.
+        let plans = plan_cluster(4096, &[(0, vec![0, 1, 2, 3])], 64, 16).unwrap();
+        let chunks: usize = devices_of(&plans).iter().map(|d| d.offsets.len() - 1).sum();
+        assert!(chunks <= 8, "total chunks {chunks} must respect the cap");
+    }
 }

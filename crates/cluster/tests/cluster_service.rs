@@ -6,7 +6,8 @@ use cluster::{
     node_key, run_cluster_service, BlockedWindow, ClusterConfig, ClusterServiceConfig,
     ClusterWorkload, CrashWindow, HashRing, NetFaultConfig, PeerState,
 };
-use solver_service::BreakerState;
+use gpu_solvers::GpuAlgorithm;
+use solver_service::{BreakerState, Engine};
 use std::time::Duration;
 
 fn workload() -> ClusterWorkload {
@@ -37,6 +38,32 @@ fn quiet_cluster_serves_everything_with_sticky_routing() {
     // Tune-once: each node autotuned at most its own resident classes.
     let tunes: u64 = (0..cluster.len()).map(|i| cluster.node(i).plans.tunes()).sum();
     assert!(tunes <= workload().sizes.len() as u64, "{tunes} tunes for 6 size classes");
+}
+
+#[test]
+fn one_node_stream_keeps_every_device_busy() {
+    // A pool is a one-node cluster: its serving loop must spread equal
+    // batches round-robin, so four devices split the work evenly and the
+    // makespan is a quarter of the serial work.
+    let mut cluster = ClusterConfig::new(1, 4).build();
+    let cfg = ClusterServiceConfig {
+        min_gpu_batch: 1,
+        pin_engine: Some(Engine::Gpu(GpuAlgorithm::CrPcr { m: 32 })),
+        ..ClusterServiceConfig::default()
+    };
+    let workload = ClusterWorkload {
+        seed: 2010,
+        requests: 192,
+        sizes: vec![256],
+        interarrival: Duration::from_micros(25),
+    };
+    let stats = run_cluster_service(&mut cluster, &cfg, &workload);
+    assert_eq!((stats.completed, stats.wrong), (192, 0));
+    let busy: Vec<f64> = cluster.node(0).pool.devices().iter().map(|d| d.busy_ms()).collect();
+    assert!(busy.iter().all(|&ms| ms > 0.0), "an idle device: {busy:?}");
+    let work: f64 = busy.iter().sum();
+    let makespan = busy.iter().copied().fold(0.0, f64::max);
+    assert!((makespan - work / 4.0).abs() < 1e-6 * work, "busy {busy:?}");
 }
 
 #[test]

@@ -31,20 +31,24 @@ fn four_node_solve_matches_gep() {
 }
 
 #[test]
-fn cluster_solve_agrees_with_single_node_interface_algebra() {
-    // The node-first/device-second cut must produce the same answer as a
-    // flat device cut: both reduce to the same interface algebra.
-    let n = 4096;
-    let sys: TridiagonalSystem<f64> = Generator::new(7).system(Workload::DiagonallyDominant, n);
-    let cluster = ClusterConfig::new(2, 2).build();
-    let report = solve_partitioned_cluster(&cluster, 0, &sys, 4).unwrap();
-    let pool = device_pool::PoolConfig::new(4).build();
-    let flat = device_pool::solve_partitioned(&pool, &sys, 4).unwrap();
-    let r_cluster = l2_residual(&sys, &report.x).unwrap();
-    let r_flat = l2_residual(&sys, &flat.x).unwrap();
-    assert!(r_cluster < 1e-8, "cluster residual {r_cluster}");
-    assert!(r_flat < 1e-8, "flat residual {r_flat}");
-    assert_eq!(report.interface_rows, 2 * report.chunks_total);
+fn two_by_two_cluster_is_bit_identical_to_a_one_by_four_pool() {
+    // The node-first/device-second cut reduces to the same interface
+    // system as a flat device cut, so the solutions agree bit for bit —
+    // including sizes that do not divide evenly over the devices.
+    for n in [4093usize, 4096, 16384] {
+        let sys: TridiagonalSystem<f64> = Generator::new(7).system(Workload::DiagonallyDominant, n);
+        let two_by_two = ClusterConfig::new(2, 2).build();
+        let one_by_four = ClusterConfig::new(1, 4).build();
+        let a = solve_partitioned_cluster(&two_by_two, 0, &sys, 4).unwrap();
+        let b = solve_partitioned_cluster(&one_by_four, 0, &sys, 4).unwrap();
+        assert_eq!((a.chunks_total, a.interface_rows), (b.chunks_total, b.interface_rows));
+        assert!(
+            a.x.iter().zip(&b.x).all(|(p, q)| p.to_bits() == q.to_bits()),
+            "n={n}: 2x2 and 1x4 solutions differ"
+        );
+        let r = l2_residual(&sys, &a.x).unwrap();
+        assert!(r < 1e-8, "n={n}: residual {r}");
+    }
 }
 
 #[test]

@@ -5,35 +5,30 @@
 //! fault plan seeded as a **pure function** of `(pool seed, device id)` —
 //! behind a [`DevicePool`] scheduler. The pool offers:
 //!
-//! * pluggable [`RoutingPolicy`]s (round-robin, least-loaded,
-//!   plan-affinity) over the healthy subset of devices;
+//! * round-robin routing over the healthy subset of devices, skipping
+//!   any device marked lost;
 //! * per-device work queues with blocking pop and work-stealing
-//!   ([`StealQueues`]), including a no-steal drain mode for dead devices;
-//! * a cross-device **partitioned solver**
-//!   ([`solve_partitioned`]) for systems far beyond one block's shared
-//!   memory (n up to 2^20): per-device modified-Thomas local reduction,
-//!   a gathered PCR interface solve, and parallel back-substitution,
-//!   with replanning around devices that die mid-solve.
+//!   ([`StealQueues`]), including a no-steal drain mode for dead devices.
+//!
+//! The partitioned solve for systems far beyond one block's shared
+//! memory lives one level up, in the `cluster` crate: a pool is a
+//! one-node cluster there.
 //!
 //! ```
-//! use device_pool::{solve_partitioned, PoolConfig};
-//! use tridiag_core::{residual::l2_residual, Generator, Workload};
+//! use device_pool::PoolConfig;
 //!
-//! let sys = Generator::new(7).system::<f64>(Workload::DiagonallyDominant, 1 << 14);
 //! let pool = PoolConfig::new(4).build();
-//! let report = solve_partitioned(&pool, &sys, 8).unwrap();
-//! assert!(l2_residual(&sys, &report.x).unwrap() < 1e-8);
-//! assert_eq!(report.devices_used.len(), 4);
+//! let first: Vec<_> = (0..4).map(|_| pool.route().unwrap()).collect();
+//! assert_eq!(first, vec![0, 1, 2, 3]);
+//! pool.mark_lost(1);
+//! assert_eq!(pool.healthy(), vec![0, 2, 3]);
+//! assert!((0..6).all(|_| pool.route() != Some(1)));
 //! ```
 
 #![warn(missing_docs)]
 
-pub mod partitioned;
 pub mod pool;
 pub mod queue;
-pub mod routing;
 
-pub use partitioned::{solve_partitioned, PoolPartitionedReport};
-pub use pool::{DevicePool, DeviceStats, PoolConfig, SimDevice};
+pub use pool::{DevicePool, PoolConfig, SimDevice};
 pub use queue::{Pop, StealQueues};
-pub use routing::{ParseRoutingPolicyError, RoutingPolicy};

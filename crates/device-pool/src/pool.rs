@@ -3,19 +3,16 @@
 //! Each [`SimDevice`] wraps its own [`Launcher`] — its own fault plan
 //! (seeded as a pure function of the pool seed and the device index, see
 //! [`gpu_sim::derive_device_seed`]), its own launch counter, and its own
-//! accumulated simulated busy time. The [`DevicePool`] routes work across
-//! the healthy subset according to a [`RoutingPolicy`] and keeps the
-//! counters that the serving layer surfaces per device.
+//! accumulated simulated busy time. The [`DevicePool`] routes work
+//! round-robin across the healthy subset and keeps the counters that the
+//! serving layer surfaces per device.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use gpu_sim::{FaultConfig, FaultPlan, FaultStats, Launcher};
+use gpu_sim::{FaultConfig, FaultPlan, Launcher};
 
-use crate::routing::RoutingPolicy;
-
-/// Blueprint for a pool: how many devices, how they are seeded, and how
-/// work is routed between them.
+/// Blueprint for a pool: how many devices and how they are seeded.
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
     /// Number of simulated devices (must be >= 1).
@@ -36,12 +33,10 @@ pub struct PoolConfig {
     /// sanitizer settings). Any fault plan installed on it is discarded in
     /// favour of the per-device plans above.
     pub base: Launcher,
-    /// Routing policy for [`DevicePool::route`].
-    pub routing: RoutingPolicy,
 }
 
 impl PoolConfig {
-    /// A quiet pool of `devices` GTX 280s with round-robin routing.
+    /// A quiet pool of `devices` GTX 280s.
     pub fn new(devices: usize) -> Self {
         Self {
             devices,
@@ -49,7 +44,6 @@ impl PoolConfig {
             fault: None,
             fault_overrides: Vec::new(),
             base: Launcher::gtx280(),
-            routing: RoutingPolicy::RoundRobin,
         }
     }
 
@@ -76,7 +70,6 @@ pub struct SimDevice {
     pub launcher: Launcher,
     lost: AtomicBool,
     dispatched: AtomicU64,
-    pending: AtomicU64,
     steals: AtomicU64,
     /// Busy time accumulated by dispatch, nanoseconds (fixed-point so it
     /// fits an atomic).
@@ -90,7 +83,6 @@ impl SimDevice {
             launcher,
             lost: AtomicBool::new(false),
             dispatched: AtomicU64::new(0),
-            pending: AtomicU64::new(0),
             steals: AtomicU64::new(0),
             busy_ns: AtomicU64::new(0),
         }
@@ -127,42 +119,12 @@ impl SimDevice {
     pub fn busy_ms(&self) -> f64 {
         self.busy_ns.load(Ordering::Relaxed) as f64 / 1e6
     }
-
-    /// Jobs currently routed to this device but not yet served.
-    pub fn pending(&self) -> u64 {
-        self.pending.load(Ordering::Relaxed)
-    }
-
-    /// Fault-injection counters of this device's plan, if it has one.
-    pub fn fault_stats(&self) -> Option<FaultStats> {
-        self.launcher.fault.as_ref().map(|p| p.stats())
-    }
-}
-
-/// Point-in-time counters for one device, as reported by
-/// [`DevicePool::stats`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct DeviceStats {
-    /// Device id.
-    pub id: usize,
-    /// Units of work dispatched.
-    pub dispatched: u64,
-    /// Simulated busy milliseconds.
-    pub busy_ms: f64,
-    /// Jobs stolen by this device.
-    pub steals: u64,
-    /// Jobs routed here but not yet served.
-    pub pending: u64,
-    /// Sticky lost flag.
-    pub lost: bool,
 }
 
 /// A deterministic multi-GPU node: devices plus routing state.
 #[derive(Debug)]
 pub struct DevicePool {
     devices: Vec<SimDevice>,
-    routing: RoutingPolicy,
-    seed: u64,
     rr: AtomicUsize,
 }
 
@@ -193,19 +155,14 @@ impl DevicePool {
                 SimDevice::new(id, launcher)
             })
             .collect();
-        Self { devices, routing: cfg.routing, seed: cfg.seed, rr: AtomicUsize::new(0) }
+        Self { devices, rr: AtomicUsize::new(0) }
     }
 
     /// Wraps one existing launcher — fault plan and all — as a 1-device
     /// pool. This is the backward-compatible path: a service configured
     /// without a pool behaves exactly as before.
     pub fn single(launcher: Launcher) -> Self {
-        Self {
-            devices: vec![SimDevice::new(0, launcher)],
-            routing: RoutingPolicy::RoundRobin,
-            seed: 0,
-            rr: AtomicUsize::new(0),
-        }
+        Self { devices: vec![SimDevice::new(0, launcher)], rr: AtomicUsize::new(0) }
     }
 
     /// Number of devices (healthy or not).
@@ -216,16 +173,6 @@ impl DevicePool {
     /// `true` iff the pool has no devices (never, by construction).
     pub fn is_empty(&self) -> bool {
         self.devices.is_empty()
-    }
-
-    /// The pool seed every device plan derives from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The routing policy in force.
-    pub fn routing(&self) -> RoutingPolicy {
-        self.routing
     }
 
     /// The device with id `i`.
@@ -253,60 +200,15 @@ impl DevicePool {
         self.devices[i].is_lost()
     }
 
-    /// Picks a healthy device for work keyed by system size `n`, or
-    /// `None` when every device is lost (callers fall back to the CPU
-    /// safety net).
-    pub fn route(&self, n: usize) -> Option<usize> {
+    /// Picks the next healthy device in round-robin order, or `None` when
+    /// every device is lost (callers fall back to the CPU safety net).
+    pub fn route(&self) -> Option<usize> {
         let healthy = self.healthy();
         if healthy.is_empty() {
             return None;
         }
-        Some(match self.routing {
-            RoutingPolicy::RoundRobin => {
-                let tick = self.rr.fetch_add(1, Ordering::Relaxed);
-                healthy[tick % healthy.len()]
-            }
-            RoutingPolicy::LeastLoaded => healthy
-                .iter()
-                .copied()
-                .min_by_key(|&i| (self.devices[i].pending(), i))
-                .expect("healthy is non-empty"),
-            RoutingPolicy::PlanAffinity => {
-                // splitmix-style avalanche of n so adjacent sizes spread.
-                let mut h = (n as u64).wrapping_add(0x9E37_79B9_7F4A_7C15);
-                h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                h ^= h >> 31;
-                healthy[(h % healthy.len() as u64) as usize]
-            }
-        })
-    }
-
-    /// Notes a job routed to device `dev` (feeds least-loaded routing).
-    pub fn note_enqueued(&self, dev: usize) {
-        self.devices[dev].pending.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Notes a routed job leaving device `dev`'s queue (served or
-    /// re-routed).
-    pub fn note_dequeued(&self, dev: usize) {
-        let prev = self.devices[dev].pending.fetch_sub(1, Ordering::Relaxed);
-        debug_assert!(prev > 0, "pending underflow on device {dev}");
-    }
-
-    /// Point-in-time counters for every device, id order.
-    pub fn stats(&self) -> Vec<DeviceStats> {
-        self.devices
-            .iter()
-            .map(|d| DeviceStats {
-                id: d.id,
-                dispatched: d.dispatched(),
-                busy_ms: d.busy_ms(),
-                steals: d.steals(),
-                pending: d.pending(),
-                lost: d.is_lost(),
-            })
-            .collect()
+        let tick = self.rr.fetch_add(1, Ordering::Relaxed);
+        Some(healthy[tick % healthy.len()])
     }
 }
 
@@ -321,12 +223,14 @@ mod tests {
 
     #[test]
     fn devices_get_pure_derived_seeds() {
-        let pool = chaos_cfg(8).build();
+        let cfg = chaos_cfg(8);
+        let seed = cfg.seed;
+        let pool = cfg.build();
         for d in pool.devices() {
             let plan = d.launcher.fault.as_ref().expect("chaos template installs a plan");
             assert_eq!(
                 plan.config().seed,
-                derive_device_seed(pool.seed(), d.id as u64),
+                derive_device_seed(seed, d.id as u64),
                 "device {} seed must be the pure derivation",
                 d.id
             );
@@ -365,10 +269,11 @@ mod tests {
         let mut cfg = chaos_cfg(3);
         cfg.fault_overrides =
             vec![(1, FaultConfig { device_lost_after: Some(2), ..FaultConfig::quiet(0) })];
+        let seed = cfg.seed;
         let pool = cfg.build();
         let plan1 = *pool.device(1).launcher.fault.as_ref().unwrap().config();
         assert_eq!(plan1.device_lost_after, Some(2));
-        assert_eq!(plan1.seed, derive_device_seed(pool.seed(), 1));
+        assert_eq!(plan1.seed, derive_device_seed(seed, 1));
         // Other devices keep the template.
         let plan0 = *pool.device(0).launcher.fault.as_ref().unwrap().config();
         assert!(plan0.launch_failure_rate > 0.0);
@@ -377,46 +282,12 @@ mod tests {
     #[test]
     fn round_robin_cycles_and_skips_lost_devices() {
         let pool = PoolConfig::new(4).build();
-        let first: Vec<_> = (0..8).map(|_| pool.route(64).unwrap()).collect();
+        let first: Vec<_> = (0..8).map(|_| pool.route().unwrap()).collect();
         assert_eq!(first, vec![0, 1, 2, 3, 0, 1, 2, 3]);
         pool.mark_lost(2);
-        let after: Vec<_> = (0..6).map(|_| pool.route(64).unwrap()).collect();
+        let after: Vec<_> = (0..6).map(|_| pool.route().unwrap()).collect();
         assert!(!after.contains(&2), "lost device must not be routed to: {after:?}");
         assert_eq!(pool.healthy(), vec![0, 1, 3]);
-    }
-
-    #[test]
-    fn least_loaded_prefers_emptiest_queue() {
-        let pool = PoolConfig { routing: RoutingPolicy::LeastLoaded, ..PoolConfig::new(3) }.build();
-        pool.note_enqueued(0);
-        pool.note_enqueued(0);
-        pool.note_enqueued(1);
-        assert_eq!(pool.route(64), Some(2));
-        pool.note_enqueued(2);
-        pool.note_enqueued(2);
-        assert_eq!(pool.route(64), Some(1), "1 has fewer pending than 0 and 2");
-        pool.note_dequeued(0);
-        pool.note_dequeued(0);
-        assert_eq!(pool.route(64), Some(0), "drained queue wins (tie broken by id)");
-    }
-
-    #[test]
-    fn plan_affinity_is_sticky_per_size_and_survives_loss() {
-        let pool =
-            PoolConfig { routing: RoutingPolicy::PlanAffinity, ..PoolConfig::new(4) }.build();
-        let d64 = pool.route(64).unwrap();
-        for _ in 0..16 {
-            assert_eq!(pool.route(64), Some(d64), "same n must stick to one device");
-        }
-        let hits: std::collections::BTreeSet<_> = [8usize, 16, 32, 64, 128, 256, 512, 1024]
-            .iter()
-            .map(|&n| pool.route(n).unwrap())
-            .collect();
-        assert!(hits.len() > 1, "different sizes should spread across devices: {hits:?}");
-        pool.mark_lost(d64);
-        let moved = pool.route(64).unwrap();
-        assert_ne!(moved, d64, "affinity must remap away from a lost device");
-        assert_eq!(pool.route(64), Some(moved), "...and stay sticky afterwards");
     }
 
     #[test]
@@ -424,7 +295,7 @@ mod tests {
         let pool = PoolConfig::new(2).build();
         pool.mark_lost(0);
         pool.mark_lost(1);
-        assert_eq!(pool.route(64), None);
+        assert_eq!(pool.route(), None);
         assert!(pool.healthy().is_empty());
     }
 
@@ -443,10 +314,10 @@ mod tests {
         pool.device(0).note_dispatched(1.5);
         pool.device(0).note_dispatched(0.5);
         pool.device(1).note_steal();
-        let stats = pool.stats();
-        assert_eq!(stats[0].dispatched, 2);
-        assert!((stats[0].busy_ms - 2.0).abs() < 1e-9);
-        assert_eq!(stats[1].steals, 1);
-        assert!(!stats[0].lost && !stats[1].lost);
+        let (d0, d1) = (pool.device(0), pool.device(1));
+        assert_eq!(d0.dispatched(), 2);
+        assert!((d0.busy_ms() - 2.0).abs() < 1e-9);
+        assert_eq!(d1.steals(), 1);
+        assert!(!d0.is_lost() && !d1.is_lost());
     }
 }

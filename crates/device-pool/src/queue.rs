@@ -9,13 +9,12 @@
 //! courtesy expires: a lone job whose owner has not served it within the
 //! age budget (measured on the queues' [`Clock`], so it works under both
 //! real and simulated time) is considered *backed up* and becomes fair
-//! game for an idle thief. Thefts are counted per thief. A worker whose
-//! device has died pops with stealing disabled so it only drains work
+//! game for an idle thief; [`Pop::Job`] names the robbed queue, so the
+//! caller can count thefts. A worker whose device has died pops with stealing disabled so it only drains work
 //! already routed to the dead device — healthy workers steal the rest of
 //! any backlog.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
@@ -45,7 +44,6 @@ struct Inner<J> {
 pub struct StealQueues<J> {
     inner: Mutex<Inner<J>>,
     cv: Condvar,
-    steals: Vec<AtomicU64>,
     clock: Clock,
     /// Age (in clock nanoseconds) past which a lone queued job counts as
     /// backed up and may be stolen; `None` keeps lone jobs owner-only.
@@ -69,7 +67,6 @@ impl<J> StealQueues<J> {
                 closed: false,
             }),
             cv: Condvar::new(),
-            steals: (0..n).map(|_| AtomicU64::new(0)).collect(),
             clock,
             backup_age: None,
         }
@@ -82,16 +79,6 @@ impl<J> StealQueues<J> {
     pub fn with_backup_age(mut self, age: Duration) -> Self {
         self.backup_age = Some(age.as_nanos().min(u64::MAX as u128) as u64);
         self
-    }
-
-    /// Number of queues.
-    pub fn len(&self) -> usize {
-        self.steals.len()
-    }
-
-    /// `true` iff there are no queues (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.steals.is_empty()
     }
 
     /// Appends `job` to device `dev`'s queue, stamped with the current
@@ -123,8 +110,7 @@ impl<J> StealQueues<J> {
     /// closed *and* drained (from this worker's point of view).
     ///
     /// Own queue first; otherwise, when `allow_steal`, the oldest job of
-    /// the longest other *stealable* queue is stolen (counted against
-    /// `dev`). A queue holding a single job is normally never robbed: its
+    /// the longest other *stealable* queue is stolen. A queue holding a single job is normally never robbed: its
     /// owner is presumed about to serve it, and leaving it alone keeps
     /// lone jobs from ping-ponging to whichever idle worker wins the
     /// wake-up race — unless backup detection is on and the lone job has
@@ -145,7 +131,6 @@ impl<J> StealQueues<J> {
                     .max_by_key(|&q| inner.queues[q].len());
                 if let Some(victim) = victim {
                     let (_, job) = inner.queues[victim].pop_front().expect("victim is non-empty");
-                    self.steals[dev].fetch_add(1, Ordering::Relaxed);
                     return Pop::Job { job, from: victim };
                 }
             }
@@ -193,11 +178,6 @@ impl<J> StealQueues<J> {
         self.cv.notify_all();
     }
 
-    /// Jobs stolen *by* device `dev`'s worker so far.
-    pub fn steal_count(&self, dev: usize) -> u64 {
-        self.steals[dev].load(Ordering::Relaxed)
-    }
-
     /// Current queue depths, id order.
     pub fn depths(&self) -> Vec<usize> {
         let inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
@@ -209,10 +189,6 @@ impl<J> core::fmt::Debug for StealQueues<J> {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("StealQueues")
             .field("depths", &self.depths())
-            .field(
-                "steals",
-                &self.steals.iter().map(|s| s.load(Ordering::Relaxed)).collect::<Vec<_>>(),
-            )
             .field("backup_age_ns", &self.backup_age)
             .finish()
     }
@@ -231,17 +207,15 @@ mod tests {
         q.push(1, 'z');
         assert_eq!(q.pop(0, true), Pop::Job { job: 'a', from: 0 });
         assert_eq!(q.pop(0, true), Pop::Job { job: 'b', from: 0 });
-        assert_eq!(q.steal_count(0), 0, "own pops are not steals");
     }
 
     #[test]
-    fn steals_oldest_job_of_longest_queue_and_counts_it() {
+    fn steals_oldest_job_of_longest_queue() {
         let q = StealQueues::new(3);
         q.push(1, 10);
         q.push(2, 20);
         q.push(2, 21);
         assert_eq!(q.pop(0, true), Pop::Job { job: 20, from: 2 }, "longest queue loses its head");
-        assert_eq!(q.steal_count(0), 1);
         assert_eq!(q.depths(), vec![0, 1, 1]);
     }
 
@@ -320,7 +294,6 @@ mod tests {
         // fair game for the idle thief.
         clock.advance(Duration::from_millis(6));
         assert_eq!(q.pop(0, true), Pop::Job { job: 9, from: 1 });
-        assert_eq!(q.steal_count(0), 1);
     }
 
     #[test]

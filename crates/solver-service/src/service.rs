@@ -12,8 +12,8 @@
 //!   the bounded queue — failing fast with [`ServiceError::QueueFull`]
 //!   under overload.
 //! * **The batcher** owns the [`BucketTable`], sleeping exactly until its
-//!   earliest linger deadline, and routes each flushed batch to a device
-//!   queue via the pool's [`RoutingPolicy`](device_pool::RoutingPolicy).
+//!   earliest linger deadline, and routes each flushed batch round-robin
+//!   to a healthy device's queue.
 //! * **Workers** are pinned one-per-device (or share device 0 when the
 //!   service runs single-device). An idle worker steals batches from the
 //!   longest other queue; a worker whose device is lost re-routes its
@@ -203,8 +203,7 @@ impl<T: Real> Shared<T> {
             occupancy: flush.requests.len() as u64,
             reason: flush.reason,
         });
-        let dev = self.pool.route(flush.n).unwrap_or(0);
-        self.pool.note_enqueued(dev);
+        let dev = self.pool.route().unwrap_or(0);
         self.queues.push(dev, flush);
     }
 
@@ -520,14 +519,14 @@ impl<T: Real> SolverService<T> {
         snap.devices = self
             .shared
             .pool
-            .stats()
-            .into_iter()
+            .devices()
+            .iter()
             .map(|d| DeviceSnapshot {
                 id: d.id,
-                dispatched: d.dispatched,
-                device_ms: d.busy_ms,
-                steals: d.steals,
-                lost: d.lost,
+                dispatched: d.dispatched(),
+                device_ms: d.busy_ms(),
+                steals: d.steals(),
+                lost: d.is_lost(),
                 breaker: worst_breaker_state(states, d.id).to_string(),
             })
             .collect();
@@ -628,7 +627,6 @@ fn worker_loop<T: Real>(shared: Arc<Shared<T>>, device_id: usize) {
         match shared.queues.pop(device_id, allow_steal) {
             DevicePop::Closed => break,
             DevicePop::Job { job, from } => {
-                shared.pool.note_dequeued(from);
                 if from != device_id {
                     shared.pool.device(device_id).note_steal();
                     shared.trace.emit(|| TraceEvent::Steal {
@@ -643,12 +641,8 @@ fn worker_loop<T: Real>(shared: Arc<Shared<T>>, device_id: usize) {
                     // re-route the stranded batches to healthy devices so
                     // they are not served through guaranteed-dead launches.
                     for stranded in shared.queues.drain(device_id) {
-                        shared.pool.note_dequeued(device_id);
-                        match shared.pool.route(stranded.n) {
-                            Some(target) => {
-                                shared.pool.note_enqueued(target);
-                                shared.queues.push(target, stranded);
-                            }
+                        match shared.pool.route() {
+                            Some(target) => shared.queues.push(target, stranded),
                             // No healthy device left: the dead context's
                             // ladder demotes straight to CPU GEP.
                             None => shared.serve_on(device_id, stranded),
