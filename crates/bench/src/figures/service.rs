@@ -6,8 +6,9 @@
 //! serving layer recover? This experiment drives an open-loop stream of
 //! mixed-size requests through [`SolverService`] twice:
 //!
-//! * **batched** — target batch 64, 2 ms linger: requests coalesce into
-//!   near-full kernel launches;
+//! * **batched** — target batch 64, 2 ms linger: requests coalesce while
+//!   every worker is busy (batching is work-conserving, so occupancy
+//!   tracks load — high on the slow pinned GPU engine, low on the CPU);
 //! * **unbatched** — target batch 1: every request flushes alone,
 //!   paying a full launch (and per-launch instrumentation) by itself.
 //!

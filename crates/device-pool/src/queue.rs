@@ -106,6 +106,29 @@ impl<J> StealQueues<J> {
         }
     }
 
+    /// Takes a job for `dev` without blocking: own queue first; otherwise,
+    /// when `allow_steal`, the oldest job of the longest other *stealable*
+    /// queue. Returns the job and the queue it came from.
+    pub fn try_pop(&self, dev: usize, allow_steal: bool) -> Option<(J, usize)> {
+        let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
+        self.take(&mut inner, dev, allow_steal)
+    }
+
+    fn take(&self, inner: &mut Inner<J>, dev: usize, allow_steal: bool) -> Option<(J, usize)> {
+        if let Some((_, job)) = inner.queues[dev].pop_front() {
+            return Some((job, dev));
+        }
+        if !allow_steal {
+            return None;
+        }
+        let now = self.clock.now();
+        let victim = (0..inner.queues.len())
+            .filter(|&q| q != dev && self.stealable(&inner.queues[q], now))
+            .max_by_key(|&q| inner.queues[q].len())?;
+        let (_, job) = inner.queues[victim].pop_front().expect("victim is non-empty");
+        Some((job, victim))
+    }
+
     /// Blocks until a job is available to this worker or the queues are
     /// closed *and* drained (from this worker's point of view).
     ///
@@ -121,18 +144,8 @@ impl<J> StealQueues<J> {
     pub fn pop(&self, dev: usize, allow_steal: bool) -> Pop<J> {
         let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
         loop {
-            if let Some((_, job)) = inner.queues[dev].pop_front() {
-                return Pop::Job { job, from: dev };
-            }
-            if allow_steal {
-                let now = self.clock.now();
-                let victim = (0..inner.queues.len())
-                    .filter(|&q| q != dev && self.stealable(&inner.queues[q], now))
-                    .max_by_key(|&q| inner.queues[q].len());
-                if let Some(victim) = victim {
-                    let (_, job) = inner.queues[victim].pop_front().expect("victim is non-empty");
-                    return Pop::Job { job, from: victim };
-                }
+            if let Some((job, from)) = self.take(&mut inner, dev, allow_steal) {
+                return Pop::Job { job, from };
             }
             if inner.closed {
                 return Pop::Closed;
@@ -217,6 +230,18 @@ mod tests {
         q.push(2, 21);
         assert_eq!(q.pop(0, true), Pop::Job { job: 20, from: 2 }, "longest queue loses its head");
         assert_eq!(q.depths(), vec![0, 1, 1]);
+    }
+
+    #[test]
+    fn try_pop_never_blocks_and_follows_pop_order() {
+        let q = StealQueues::new(2);
+        assert_eq!(q.try_pop(0, true), None, "empty queues: no job, no wait");
+        q.push(1, 'x');
+        assert_eq!(q.try_pop(0, true), None, "a lone job is left for its owner");
+        q.push(1, 'y');
+        assert_eq!(q.try_pop(0, false), None, "no-steal mode");
+        assert_eq!(q.try_pop(0, true), Some(('x', 1)), "a backlog is stealable");
+        assert_eq!(q.try_pop(1, true), Some(('y', 1)));
     }
 
     #[test]

@@ -9,8 +9,11 @@
 //!
 //! * it reaches the **target batch size** (enough occupancy to saturate
 //!   the simulated SMs), or
-//! * the oldest request in it has waited **max linger** (bounding the
-//!   latency a lone request can be held hostage for), or
+//! * a **worker is idle**: the oldest bucket goes to it at once, because
+//!   holding a request back only pays while every worker is busy — a batch
+//!   spreads per-flush cost, and an idle worker has none to spread, or
+//! * every worker is busy and the oldest request in it has waited **max
+//!   linger** (bounding the latency a request can be held hostage for), or
 //! * a member's **deadline** would not survive the remaining linger
 //!   window — the bucket flushes early (minus a configurable slack that
 //!   leaves time for the solve itself), trading occupancy for the
@@ -26,8 +29,12 @@
 //!
 //! The bucketing logic lives in the pure, thread-free [`BucketTable`] so
 //! the edge cases (lone-request linger flush, size-class isolation, flush
-//! ordering) are deterministically testable; the service wraps it in a
-//! thread that sleeps exactly until the earliest linger deadline.
+//! ordering, oldest-bucket choice) are deterministically testable. The
+//! work-conserving rule — which flush goes to which idle worker — lives in
+//! the equally thread-free [`Scheduler`], the table plus the idle-worker
+//! count; the service keeps it under one lock shared by its batcher thread
+//! (which sleeps exactly until the earliest linger deadline) and its
+//! workers (which pull the oldest bucket themselves when they run dry).
 
 use crate::request::SolveRequest;
 use gpu_sim::Tick;
@@ -42,7 +49,10 @@ use tridiag_core::Real;
 pub enum FlushReason {
     /// The bucket reached the target batch size.
     Full,
-    /// The oldest request hit the linger deadline.
+    /// The bucket's linger window closed: its oldest request waited
+    /// `max_linger` while every worker was busy, or — the common case on
+    /// an unsaturated service — a worker was idle, which closes the window
+    /// at once (see [`Scheduler`]).
     Linger,
     /// A member request's completion deadline forced an early flush
     /// (deadline − slack arrived before the linger window closed).
@@ -183,6 +193,16 @@ impl<T: Real> BucketTable<T> {
         self.buckets.values().map(|b| b.flush_at(self.max_linger, self.deadline_slack)).min()
     }
 
+    /// Takes the oldest bucket — earliest `oldest` tick, ties broken by
+    /// ascending `n` — as a [`FlushReason::Linger`] flush whose window
+    /// closed early because a worker is free to serve it. `None` when
+    /// every bucket is empty.
+    pub fn take_oldest(&mut self) -> Option<FlushedBatch<T>> {
+        let (&n, _) = self.buckets.iter().min_by_key(|&(&n, b)| (b.oldest, n))?;
+        let bucket = self.buckets.remove(&n).expect("found above");
+        Some(FlushedBatch { n, requests: bucket.requests, reason: FlushReason::Linger })
+    }
+
     /// Flushes every bucket whose flush point has arrived — because its
     /// oldest member has waited `max_linger`, or because a member deadline
     /// (minus slack) would not survive more lingering.
@@ -213,6 +233,106 @@ impl<T: Real> BucketTable<T> {
                 reason: FlushReason::Shutdown,
             })
             .collect()
+    }
+}
+
+/// A flush and the device of the idle worker it claimed, if any (`None`:
+/// no worker was idle; the caller routes it as usual).
+pub type Assigned<T> = (FlushedBatch<T>, Option<usize>);
+
+/// The work-conserving flush rule: the [`BucketTable`] plus, per device,
+/// the workers parked with nothing routed to them.
+///
+/// While a worker is idle the table holds nothing back: every admission
+/// ends with the oldest buckets going to idle workers, and a worker that
+/// runs dry takes the oldest bucket itself instead of parking. Only while
+/// every worker is busy do requests wait in buckets, for the target
+/// batch, `max_linger` or a deadline. A flush claims an idle worker's
+/// device whenever one exists, so it never queues behind a busy worker.
+///
+/// Thread-free so the rule is tested without threads; a threaded caller
+/// keeps it under one lock, so a worker parking and a request arriving
+/// cannot miss each other. The caller reports the other half of a claim's
+/// life: [`woke`](Self::woke) when a parked worker takes any job, and
+/// [`release`](Self::release) when a claimed flush leaves its device's
+/// queue (whichever worker takes it).
+pub struct Scheduler<T: Real> {
+    table: BucketTable<T>,
+    /// Per device: workers parked waiting for work.
+    parked: Vec<usize>,
+    /// Per device: claimed flushes routed there and not yet taken.
+    claimed: Vec<usize>,
+}
+
+impl<T: Real> Scheduler<T> {
+    /// Wraps `table` for `devices` devices, every worker busy.
+    pub fn new(table: BucketTable<T>, devices: usize) -> Self {
+        Self { table, parked: vec![0; devices], claimed: vec![0; devices] }
+    }
+
+    /// The bucket table (deadlines, pending count).
+    pub fn table(&self) -> &BucketTable<T> {
+        &self.table
+    }
+
+    /// Parked workers that no claimed flush is on its way to.
+    pub fn idle(&self) -> usize {
+        self.parked.iter().zip(&self.claimed).map(|(&p, &c)| p.saturating_sub(c)).sum()
+    }
+
+    /// Claims an idle worker — on the lowest such device — for one flush.
+    fn claim(&mut self) -> Option<usize> {
+        let device = (0..self.parked.len()).find(|&d| self.parked[d] > self.claimed[d])?;
+        self.claimed[device] += 1;
+        Some(device)
+    }
+
+    /// Adds `request`; returns its bucket when that reaches the target
+    /// batch size.
+    pub fn admit(&mut self, request: SolveRequest<T>, now: Tick) -> Option<Assigned<T>> {
+        let flush = self.table.insert(request, now)?;
+        Some((flush, self.claim()))
+    }
+
+    /// What must flush at `now`, after the admissions due: the oldest
+    /// buckets while a worker is idle, then every bucket whose linger or
+    /// deadline point has passed.
+    pub fn due(&mut self, now: Tick) -> Vec<Assigned<T>> {
+        let mut out = Vec::new();
+        while self.idle() > 0 {
+            let Some(flush) = self.table.take_oldest() else { break };
+            out.push((flush, self.claim()));
+        }
+        for flush in self.table.flush_expired(now) {
+            out.push((flush, self.claim()));
+        }
+        out
+    }
+
+    /// A worker on `device` ran out of routed work: it takes the oldest
+    /// bucket itself, or — when every bucket is empty — parks as idle
+    /// (and returns `None`).
+    pub fn park(&mut self, device: usize) -> Option<FlushedBatch<T>> {
+        let flush = self.table.take_oldest();
+        if flush.is_none() {
+            self.parked[device] += 1;
+        }
+        flush
+    }
+
+    /// A worker parked on `device` woke with a job.
+    pub fn woke(&mut self, device: usize) {
+        self.parked[device] -= 1;
+    }
+
+    /// A flush claimed on `device` left that device's queue.
+    pub fn release(&mut self, device: usize) {
+        self.claimed[device] -= 1;
+    }
+
+    /// Shutdown: every bucket, in ascending size order.
+    pub fn flush_all(&mut self) -> Vec<Assigned<T>> {
+        self.table.flush_all().into_iter().map(|flush| (flush, self.claim())).collect()
     }
 }
 
@@ -369,5 +489,124 @@ mod tests {
         let flushed = table.flush_expired(ms(1));
         let sizes: Vec<usize> = flushed.iter().map(|f| f.n).collect();
         assert_eq!(sizes, vec![32, 128, 512]);
+    }
+
+    #[test]
+    fn take_oldest_picks_the_oldest_bucket_across_sizes() {
+        let mut table = BucketTable::new(64, Duration::from_millis(10));
+        table.insert(req(0, 32), ms(3));
+        table.insert(req(1, 512), ms(1));
+        table.insert(req(2, 128), ms(2));
+        table.insert(req(3, 512), ms(4)); // a later arrival keeps 512's age
+        let first = table.take_oldest().expect("three buckets");
+        assert_eq!((first.n, first.requests.len()), (512, 2));
+        assert_eq!(first.reason, FlushReason::Linger);
+        let sizes: Vec<usize> = std::iter::from_fn(|| table.take_oldest()).map(|f| f.n).collect();
+        assert_eq!(sizes, vec![128, 32]);
+    }
+
+    #[test]
+    fn take_oldest_breaks_ties_by_ascending_n() {
+        let mut table = BucketTable::new(64, Duration::from_millis(10));
+        for (id, n) in [(0, 256), (1, 64), (2, 128)] {
+            table.insert(req(id, n), ms(5));
+        }
+        let sizes: Vec<usize> = std::iter::from_fn(|| table.take_oldest()).map(|f| f.n).collect();
+        assert_eq!(sizes, vec![64, 128, 256]);
+    }
+
+    #[test]
+    fn take_oldest_is_none_when_empty() {
+        let mut table = BucketTable::<f32>::new(2, Duration::from_millis(10));
+        assert!(table.take_oldest().is_none());
+        table.insert(req(0, 32), 0);
+        table.insert(req(1, 32), 0); // fills and flushes
+        assert!(table.take_oldest().is_none(), "a flushed bucket is gone");
+    }
+
+    fn scheduler(devices: usize) -> Scheduler<f32> {
+        Scheduler::new(BucketTable::new(64, Duration::from_millis(10)), devices)
+    }
+
+    #[test]
+    fn an_idle_worker_takes_an_admission_at_once() {
+        let mut s = scheduler(1);
+        assert!(s.park(0).is_none(), "nothing to pull: the worker parks");
+        assert_eq!(s.idle(), 1);
+        assert!(s.admit(req(0, 32), 0).is_none(), "far from the target batch");
+        let due = s.due(0);
+        assert_eq!(due.len(), 1, "the lone request does not wait out the linger");
+        assert_eq!(due[0].0.reason, FlushReason::Linger);
+        assert_eq!(due[0].1, Some(0), "it lands on the idle worker's device");
+        assert_eq!(s.idle(), 0, "that worker is claimed");
+        // A second arrival before the worker wakes waits in its bucket.
+        s.admit(req(1, 32), ms(1));
+        assert!(s.due(ms(1)).is_empty());
+        assert_eq!(s.table().pending(), 1);
+    }
+
+    #[test]
+    fn a_busy_service_lingers_and_labels_deadline_flushes() {
+        // Zero idle workers: the linger and deadline rules are unchanged.
+        let mut s = Scheduler::new(
+            BucketTable::new(64, Duration::from_millis(10)).with_deadline_slack(Duration::ZERO),
+            1,
+        );
+        let (req_d, _ticket) = crate::request::make_request_at(
+            0,
+            TridiagonalSystem::toeplitz(32, -1.0, 4.0, -1.0, 1.0).unwrap(),
+            0,
+            Some(ms(4)),
+        );
+        assert!(s.admit(req_d, 0).is_none());
+        assert!(s.due(ms(3)).is_empty(), "every worker busy: the request waits");
+        let due = s.due(ms(4));
+        assert_eq!(due.len(), 1);
+        assert_eq!(due[0].0.reason, FlushReason::Deadline);
+        assert_eq!(due[0].1, None, "no idle worker to claim");
+    }
+
+    #[test]
+    fn a_worker_that_runs_dry_pulls_the_oldest_bucket() {
+        let mut s = scheduler(1);
+        s.admit(req(0, 128), ms(2));
+        s.admit(req(1, 64), ms(3));
+        let pulled = s.park(0).expect("a bucket is waiting");
+        assert_eq!(pulled.n, 128, "oldest first");
+        assert_eq!(s.idle(), 0, "a worker that pulls does not park");
+        assert_eq!(s.park(0).map(|f| f.n), Some(64));
+        assert!(s.park(0).is_none());
+        assert_eq!(s.idle(), 1);
+    }
+
+    #[test]
+    fn flushes_claim_idle_devices_and_claims_are_returned() {
+        let mut s = scheduler(4);
+        s.park(2);
+        s.park(3);
+        s.admit(req(0, 32), 0);
+        s.admit(req(1, 64), 0);
+        s.admit(req(2, 128), 0);
+        let due = s.due(0);
+        let devices: Vec<_> = due.iter().map(|(f, d)| (f.n, *d)).collect();
+        assert_eq!(devices, vec![(32, Some(2)), (64, Some(3))], "busy devices 0 and 1 get none");
+        assert_eq!(s.table().pending(), 1, "the third bucket waits for a worker");
+        // Device 2's worker wakes with its flush; device 3's claimed flush
+        // is taken by some other worker, so device 3's worker is idle again.
+        s.woke(2);
+        s.release(2);
+        s.release(3);
+        assert_eq!(s.idle(), 1);
+        assert_eq!(s.due(0)[0].1, Some(3));
+    }
+
+    #[test]
+    fn a_full_bucket_claims_an_idle_device() {
+        let mut s = Scheduler::new(BucketTable::new(2, Duration::from_millis(10)), 2);
+        s.park(1);
+        assert!(s.admit(req(0, 32), 0).is_none());
+        let (flush, device) = s.admit(req(1, 32), 0).expect("target reached");
+        assert_eq!((flush.reason, device), (FlushReason::Full, Some(1)));
+        assert_eq!(s.idle(), 0);
     }
 }

@@ -6,16 +6,19 @@
 //! at the edge rather than letting latency grow without bound (the same
 //! policy as any production inference server's admission controller).
 //!
-//! The consumer side supports deadline-bounded popping
-//! ([`BoundedQueue::pop_until`]) so the batcher can sleep exactly until its
-//! earliest linger deadline, whichever of "new request" or "time to flush"
-//! comes first.
+//! The consumer side supports deadline-bounded draining
+//! ([`BoundedQueue::pop_all_until`]) so the batcher can sleep exactly until
+//! its earliest linger deadline, whichever of "new request" or "time to
+//! flush" comes first, and then takes everything queued under one lock.
+//! A push rings the condvar only while the consumer is parked on it: a
+//! busy consumer re-checks the queue before parking, so the notify would
+//! wake nobody.
 
 use gpu_sim::{Clock, Tick};
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 
-/// Outcome of a push attempt.
+/// Why a push was refused (the item comes back with it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PushError {
     /// The queue is at capacity; nothing was enqueued.
@@ -24,11 +27,11 @@ pub enum PushError {
     Closed,
 }
 
-/// Outcome of a deadline-bounded pop.
-#[derive(Debug)]
-pub enum Pop<R> {
-    /// An item was dequeued.
-    Item(R),
+/// Outcome of a deadline-bounded drain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Pop {
+    /// At least one item was moved into the caller's buffer.
+    Items,
     /// The deadline passed with the queue still empty.
     TimedOut,
     /// The queue is closed *and* fully drained — the consumer is done.
@@ -38,6 +41,8 @@ pub enum Pop<R> {
 struct State<R> {
     items: VecDeque<R>,
     closed: bool,
+    /// The consumer is waiting on `nonempty`.
+    parked: bool,
 }
 
 /// A multi-producer single-consumer bounded queue (`Mutex` + `Condvar`).
@@ -52,7 +57,7 @@ impl<R> BoundedQueue<R> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity >= 1, "queue capacity must be >= 1");
         Self {
-            state: Mutex::new(State { items: VecDeque::new(), closed: false }),
+            state: Mutex::new(State { items: VecDeque::new(), closed: false, parked: false }),
             nonempty: Condvar::new(),
             capacity,
         }
@@ -73,23 +78,26 @@ impl<R> BoundedQueue<R> {
         self.len() == 0
     }
 
-    /// Attempts to enqueue; never blocks.
-    pub fn push(&self, item: R) -> Result<(), PushError> {
+    /// Attempts to enqueue; never blocks. A refused item is handed back.
+    pub fn push(&self, item: R) -> Result<(), (PushError, R)> {
         let mut s = self.state.lock().unwrap_or_else(|p| p.into_inner());
         if s.closed {
-            return Err(PushError::Closed);
+            return Err((PushError::Closed, item));
         }
         if s.items.len() >= self.capacity {
-            return Err(PushError::Full);
+            return Err((PushError::Full, item));
         }
         s.items.push_back(item);
+        let wake = s.parked;
         drop(s);
-        self.nonempty.notify_one();
+        if wake {
+            self.nonempty.notify_one();
+        }
         Ok(())
     }
 
-    /// Dequeues one item, waiting until `deadline` on `clock` (forever
-    /// when `None`).
+    /// Moves every queued item into `out`, waiting until `deadline` on
+    /// `clock` (forever when `None`) for the queue to become non-empty.
     ///
     /// Once closed, remaining items are still handed out in order;
     /// [`Pop::Drained`] is only returned when closed *and* empty, so no
@@ -100,36 +108,38 @@ impl<R> BoundedQueue<R> {
     /// advanced by another thread is observed promptly; a deadline that
     /// has already virtually passed returns [`Pop::TimedOut`] without
     /// parking at all.
-    pub fn pop_until(&self, deadline: Option<Tick>, clock: &Clock) -> Pop<R> {
+    pub fn pop_all_until(&self, deadline: Option<Tick>, clock: &Clock, out: &mut Vec<R>) -> Pop {
         let mut s = self.state.lock().unwrap_or_else(|p| p.into_inner());
         loop {
-            if let Some(item) = s.items.pop_front() {
-                return Pop::Item(item);
+            if !s.items.is_empty() {
+                out.extend(s.items.drain(..));
+                return Pop::Items;
             }
             if s.closed {
                 return Pop::Drained;
             }
-            match deadline {
-                None => {
-                    s = self.nonempty.wait(s).unwrap_or_else(|p| p.into_inner());
-                }
+            let budget = match deadline {
+                None => None,
                 Some(d) => match clock.park_budget(d) {
                     None => return Pop::TimedOut,
-                    Some(budget) => {
-                        let (guard, _timeout) = self
-                            .nonempty
-                            .wait_timeout(s, budget)
-                            .unwrap_or_else(|p| p.into_inner());
-                        s = guard;
-                        // A sim clock that cannot move on its own would
-                        // spin here forever: the batcher is the only
-                        // thread advancing it, so push it to the deadline
-                        // once the real quantum elapsed fruitlessly.
-                        if clock.is_sim() && s.items.is_empty() && !s.closed {
-                            clock.advance_to(d);
-                        }
-                    }
+                    budget => budget,
                 },
+            };
+            s.parked = true;
+            s = match budget {
+                None => self.nonempty.wait(s).unwrap_or_else(|p| p.into_inner()),
+                Some(budget) => {
+                    self.nonempty.wait_timeout(s, budget).unwrap_or_else(|p| p.into_inner()).0
+                }
+            };
+            s.parked = false;
+            // A sim clock that cannot move on its own would spin here
+            // forever: the batcher is the only thread advancing it, so push
+            // it to the deadline once the real quantum elapsed fruitlessly.
+            if let Some(d) = deadline {
+                if clock.is_sim() && s.items.is_empty() && !s.closed {
+                    clock.advance_to(d);
+                }
             }
         }
     }
@@ -155,7 +165,7 @@ mod tests {
         assert!(q.push(1).is_ok());
         assert!(q.push(2).is_ok());
         let start = Instant::now();
-        assert_eq!(q.push(3), Err(PushError::Full));
+        assert_eq!(q.push(3), Err((PushError::Full, 3)), "the refused item comes back");
         // Rejection is immediate — the hallmark of backpressure-by-shedding.
         assert!(start.elapsed() < Duration::from_millis(50));
         assert_eq!(q.len(), 2);
@@ -166,7 +176,7 @@ mod tests {
         let q: BoundedQueue<u32> = BoundedQueue::new(4);
         let clock = Clock::real();
         let deadline = clock.tick_after(Duration::from_millis(10));
-        assert!(matches!(q.pop_until(Some(deadline), &clock), Pop::TimedOut));
+        assert_eq!(q.pop_all_until(Some(deadline), &clock, &mut Vec::new()), Pop::TimedOut);
         assert!(clock.now() >= deadline);
     }
 
@@ -178,7 +188,7 @@ mod tests {
         let clock = Clock::sim();
         let deadline = clock.tick_after(Duration::from_secs(3600));
         let wall = Instant::now();
-        assert!(matches!(q.pop_until(Some(deadline), &clock), Pop::TimedOut));
+        assert_eq!(q.pop_all_until(Some(deadline), &clock, &mut Vec::new()), Pop::TimedOut);
         assert!(clock.now() >= deadline, "virtual time reached the deadline");
         assert!(wall.elapsed() < Duration::from_secs(5), "no real hour elapsed");
     }
@@ -189,7 +199,7 @@ mod tests {
         let clock = Clock::sim();
         clock.advance(Duration::from_millis(5));
         let wall = Instant::now();
-        assert!(matches!(q.pop_until(Some(1_000), &clock), Pop::TimedOut));
+        assert_eq!(q.pop_all_until(Some(1_000), &clock, &mut Vec::new()), Pop::TimedOut);
         assert!(wall.elapsed() < Duration::from_millis(50));
     }
 
@@ -200,10 +210,11 @@ mod tests {
         q.push(1).unwrap();
         q.push(2).unwrap();
         q.close();
-        assert_eq!(q.push(3), Err(PushError::Closed));
-        assert!(matches!(q.pop_until(None, &clock), Pop::Item(1)));
-        assert!(matches!(q.pop_until(None, &clock), Pop::Item(2)));
-        assert!(matches!(q.pop_until(None, &clock), Pop::Drained));
+        assert_eq!(q.push(3), Err((PushError::Closed, 3)));
+        let mut got = Vec::new();
+        assert_eq!(q.pop_all_until(None, &clock, &mut got), Pop::Items);
+        assert_eq!(got, vec![1, 2], "one drain takes everything queued, in order");
+        assert_eq!(q.pop_all_until(None, &clock, &mut got), Pop::Drained);
     }
 
     #[test]
@@ -215,8 +226,8 @@ mod tests {
                 loop {
                     match q2.push(i) {
                         Ok(()) => break,
-                        Err(PushError::Full) => std::thread::yield_now(),
-                        Err(PushError::Closed) => panic!("closed early"),
+                        Err((PushError::Full, _)) => std::thread::yield_now(),
+                        Err((PushError::Closed, _)) => panic!("closed early"),
                     }
                 }
             }
@@ -225,13 +236,50 @@ mod tests {
         let clock = Clock::real();
         let mut got = Vec::new();
         loop {
-            match q.pop_until(None, &clock) {
-                Pop::Item(i) => got.push(i),
+            match q.pop_all_until(None, &clock, &mut got) {
+                Pop::Items => {}
                 Pop::Drained => break,
                 Pop::TimedOut => unreachable!("no deadline given"),
             }
         }
         producer.join().unwrap();
         assert_eq!(got, (0..100).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_push_to_a_parked_consumer_is_never_lost() {
+        // Every push lands while the consumer is parked with no deadline,
+        // so only the push's notify can wake it: a lost wake-up shows as a
+        // missed hand-off, not a hang.
+        let q = std::sync::Arc::new(BoundedQueue::new(4));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let consumer = {
+            let q = q.clone();
+            std::thread::spawn(move || {
+                let clock = Clock::real();
+                let mut got = Vec::new();
+                while q.pop_all_until(None, &clock, &mut got) == Pop::Items {
+                    for item in got.drain(..) {
+                        tx.send(item).unwrap();
+                    }
+                }
+            })
+        };
+        let parked = || q.state.lock().unwrap().parked;
+        for i in 0..50u32 {
+            let since = Instant::now();
+            while !parked() {
+                assert!(since.elapsed() < Duration::from_secs(10), "consumer never parked");
+                std::thread::yield_now();
+            }
+            q.push(i).unwrap();
+            let handed = rx.recv_timeout(Duration::from_secs(10));
+            if handed != Ok(i) {
+                q.close();
+                panic!("push {i} was not handed to the parked consumer: {handed:?}");
+            }
+        }
+        q.close();
+        consumer.join().unwrap();
     }
 }

@@ -1,24 +1,35 @@
-//! The service itself: admission → batcher thread → sharded worker pool.
+//! The service itself: admission → batcher thread → sharded worker pool,
+//! with a work-conserving flush rule between them.
 //!
 //! Thread topology (all plain `std::thread`, no external runtime):
 //!
 //! ```text
 //!  submitters ──► BoundedQueue ──► batcher ──► StealQueues ──► worker/device 0..D
 //!     (many)      (reject-full)   (1 thread)  (routing +       (serve_flush on
-//!                                              work stealing)    its own device)
+//!                                     │        work stealing)    its own device)
+//!                                     ▼                              │
+//!                                 Scheduler ◄──── pull oldest / park ┘
+//!                          (bucket table + idle workers, one lock)
 //! ```
 //!
 //! * **Admission** validates the system, assigns an id, and pushes into
 //!   the bounded queue — failing fast with [`ServiceError::QueueFull`]
 //!   under overload.
-//! * **The batcher** owns the [`BucketTable`], sleeping exactly until its
-//!   earliest linger deadline, and routes each flushed batch round-robin
-//!   to a healthy device's queue.
+//! * **The batcher** drains the queue into the [`Scheduler`]'s bucket
+//!   table, sleeping exactly until its earliest linger deadline. While a
+//!   worker is parked, every admission ends with the oldest bucket flushed
+//!   to that worker's device at once: holding a request back only pays
+//!   while every worker is busy, so only then do requests wait for the
+//!   target batch, `max_linger` or a deadline. A flush with no idle worker
+//!   to claim goes round-robin to a healthy device's queue.
 //! * **Workers** are pinned one-per-device (or share device 0 when the
-//!   service runs single-device). An idle worker steals batches from the
-//!   longest other queue; a worker whose device is lost re-routes its
-//!   backlog to survivors and falls back to the CPU safety net only when
-//!   no healthy device remains.
+//!   service runs single-device). A worker with nothing routed to it
+//!   steals batches from the longest other queue, then takes the oldest
+//!   bucket from the scheduler itself, and parks as idle only when every
+//!   bucket is empty — the pull and the park happen under the scheduler
+//!   lock the batcher admits under, so no arrival slips between them. A
+//!   worker whose device is lost re-routes its backlog to survivors and
+//!   falls back to the CPU safety net only when no healthy device remains.
 //!
 //! Shutdown is a drain, not an abort: the queue closes (new submissions
 //! are rejected), the batcher pops everything already admitted, flushes
@@ -26,7 +37,7 @@
 //! finish every routed batch before joining. Every admitted request is
 //! always answered.
 
-use crate::batcher::{BucketTable, FlushedBatch};
+use crate::batcher::{BucketTable, FlushedBatch, Scheduler};
 use crate::breaker::{BreakerConfig, CircuitBreakers};
 use crate::dispatch::{serve_flush, DeviceCtx, DispatchConfig};
 use crate::error::ServiceError;
@@ -39,7 +50,7 @@ use device_pool::{DevicePool, PoolConfig, Pop as DevicePop, StealQueues};
 use factor_cache::SharedFactorCache;
 use gpu_sim::{tick_duration, Clock, Launcher, Tick};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use tridiag_core::{MatrixKey, Real, TridiagError, TridiagonalSystem};
@@ -54,7 +65,9 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Flush a size-class bucket when it holds this many requests.
     pub target_batch: usize,
-    /// Flush a bucket when its oldest request has waited this long.
+    /// Flush a bucket when its oldest request has waited this long while
+    /// every worker was busy. An idle worker takes the oldest bucket at
+    /// once, so an unsaturated service never lingers.
     pub max_linger: Duration,
     /// Worker threads executing flushed batches.
     pub workers: usize,
@@ -178,13 +191,21 @@ impl Default for ServiceConfig {
     }
 }
 
+/// A flush on a device queue. `claimed` when it was routed to a parked
+/// worker's device: it holds that worker's idle slot until taken.
+struct Routed<T: Real> {
+    flush: FlushedBatch<T>,
+    claimed: bool,
+}
+
 struct Shared<T: Real> {
     queue: BoundedQueue<SolveRequest<T>>,
+    scheduler: Mutex<Scheduler<T>>,
     metrics: ServiceMetrics,
     plans: PlanCache,
     breakers: CircuitBreakers,
     pool: DevicePool,
-    queues: StealQueues<FlushedBatch<T>>,
+    queues: StealQueues<Routed<T>>,
     dispatch_cfg: DispatchConfig,
     clock: Clock,
     trace: TraceHandle,
@@ -192,19 +213,28 @@ struct Shared<T: Real> {
 }
 
 impl<T: Real> Shared<T> {
-    /// Routes one flushed batch onto a healthy device's queue. With no
-    /// healthy device left the batch still lands on queue 0: its worker
-    /// serves it through the dead-device context, which the dispatch
-    /// ladder demotes to the CPU safety net.
-    fn route_flush(&self, flush: FlushedBatch<T>) {
+    fn scheduler(&self) -> MutexGuard<'_, Scheduler<T>> {
+        self.scheduler.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    fn emit_flush(&self, flush: &FlushedBatch<T>) {
         self.trace.emit(|| TraceEvent::Flush {
             at: self.clock.now(),
             n: flush.n as u64,
             occupancy: flush.requests.len() as u64,
             reason: flush.reason,
         });
-        let dev = self.pool.route().unwrap_or(0);
-        self.queues.push(dev, flush);
+    }
+
+    /// Routes one flushed batch: onto the device of the idle worker it
+    /// claimed, else onto a healthy device's queue. With no healthy device
+    /// left the batch still lands on queue 0: its worker serves it through
+    /// the dead-device context, which the dispatch ladder demotes to the
+    /// CPU safety net.
+    fn route_flush(&self, flush: FlushedBatch<T>, claimed: Option<usize>) {
+        self.emit_flush(&flush);
+        let dev = claimed.or_else(|| self.pool.route()).unwrap_or(0);
+        self.queues.push(dev, Routed { flush, claimed: claimed.is_some() });
     }
 
     /// Serves one batch on `device_id`'s launcher, with the pool wired in
@@ -247,8 +277,11 @@ impl<T: Real> SolverService<T> {
                 None => queues,
             }
         };
+        let table = BucketTable::new(config.target_batch, config.max_linger)
+            .with_deadline_slack(config.deadline_slack);
         let shared = Arc::new(Shared {
             queue: BoundedQueue::new(config.queue_capacity),
+            scheduler: Mutex::new(Scheduler::new(table, pool.len())),
             metrics: ServiceMetrics::new(),
             plans: match config.verified {
                 Some(catalog) => PlanCache::proven_only(catalog),
@@ -280,12 +313,9 @@ impl<T: Real> SolverService<T> {
 
         let batcher = {
             let shared = shared.clone();
-            let target = config.target_batch;
-            let linger = config.max_linger;
-            let slack = config.deadline_slack;
             std::thread::Builder::new()
                 .name("solver-service-batcher".into())
-                .spawn(move || batcher_loop(shared, target, linger, slack))
+                .spawn(move || batcher_loop(shared))
                 .expect("spawn batcher")
         };
 
@@ -361,43 +391,47 @@ impl<T: Real> SolverService<T> {
         system: TridiagonalSystem<T>,
         deadline: Option<Tick>,
     ) -> Result<Ticket<T>, ServiceError> {
-        // With the factor cache or certified catalog on, every admitted
-        // system is identity-hashed so dispatch can group equal matrices
-        // within a flush: they hit the warm tier and share one analysis
-        // verdict.
-        let cfg = &self.shared.dispatch_cfg;
-        let matrix_key = (cfg.factor_cache.is_some() || cfg.certified.is_some())
-            .then(|| MatrixKey::of_system(&system));
-        self.submit_keyed(system, deadline, matrix_key)
+        let matrix_key = self.key_of(&system);
+        self.admit(system, deadline, matrix_key).map_err(|(e, _)| e)
     }
 
-    /// The fully general submission: explicit deadline and matrix key.
-    /// [`SolverService::solve_many_rhs`] uses this to hash the shared
-    /// matrix once instead of once per right-hand side.
-    fn submit_keyed(
+    /// With the factor cache or certified catalog on, every admitted
+    /// system is identity-hashed so dispatch can group equal matrices
+    /// within a flush: they hit the warm tier and share one analysis
+    /// verdict.
+    fn keyed(&self) -> bool {
+        let cfg = &self.shared.dispatch_cfg;
+        cfg.factor_cache.is_some() || cfg.certified.is_some()
+    }
+
+    fn key_of(&self, system: &TridiagonalSystem<T>) -> Option<MatrixKey> {
+        self.keyed().then(|| MatrixKey::of_system(system))
+    }
+
+    /// The fully general submission: explicit deadline and matrix key
+    /// ([`SolverService::solve_many_rhs`] hashes its shared matrix once).
+    /// A refused system is handed back with the error, so a retry needs no
+    /// copy of it.
+    fn admit(
         &self,
         system: TridiagonalSystem<T>,
         deadline: Option<Tick>,
         matrix_key: Option<MatrixKey>,
-    ) -> Result<Ticket<T>, ServiceError> {
+    ) -> Result<Ticket<T>, (ServiceError, Box<TridiagonalSystem<T>>)> {
         let n = system.n();
         let now = self.shared.clock.now();
+        let reject =
+            |reason| self.shared.trace.emit(|| TraceEvent::Reject { at: now, n: n as u64, reason });
         if n < 2 {
-            self.shared.trace.emit(|| TraceEvent::Reject {
-                at: now,
-                n: n as u64,
-                reason: RejectReason::Invalid,
-            });
-            return Err(ServiceError::InvalidRequest(TridiagError::SizeTooSmall { n, min: 2 }));
+            reject(RejectReason::Invalid);
+            let error = ServiceError::InvalidRequest(TridiagError::SizeTooSmall { n, min: 2 });
+            return Err((error, Box::new(system)));
         }
         if let Some(d) = deadline {
             if d <= now {
-                self.shared.trace.emit(|| TraceEvent::Reject {
-                    at: now,
-                    n: n as u64,
-                    reason: RejectReason::DeadlinePast,
-                });
-                return Err(ServiceError::DeadlineExceeded { deadline: tick_duration(now, d) });
+                reject(RejectReason::DeadlinePast);
+                let error = ServiceError::DeadlineExceeded { deadline: tick_duration(now, d) };
+                return Err((error, Box::new(system)));
             }
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
@@ -408,27 +442,41 @@ impl<T: Real> SolverService<T> {
                 self.shared.trace.emit(|| TraceEvent::Admit { at: now, id, n: n as u64 });
                 Ok(ticket)
             }
-            Err(PushError::Full) => {
+            Err((PushError::Full, request)) => {
                 self.shared.metrics.on_reject();
-                self.shared.trace.emit(|| TraceEvent::Reject {
-                    at: now,
-                    n: n as u64,
-                    reason: RejectReason::QueueFull,
-                });
-                Err(ServiceError::QueueFull {
+                reject(RejectReason::QueueFull);
+                let error = ServiceError::QueueFull {
                     capacity: self.shared.queue.capacity(),
                     retry_after: self.retry_after_hint(),
-                })
+                };
+                Err((error, Box::new(request.system)))
             }
-            Err(PushError::Closed) => {
+            Err((PushError::Closed, request)) => {
                 self.shared.metrics.on_reject();
-                self.shared.trace.emit(|| TraceEvent::Reject {
-                    at: now,
-                    n: n as u64,
-                    reason: RejectReason::ShuttingDown,
-                });
-                Err(ServiceError::ShuttingDown)
+                reject(RejectReason::ShuttingDown);
+                Err((ServiceError::ShuttingDown, Box::new(request.system)))
             }
+        }
+    }
+
+    /// Submits with no deadline. When the queue is full and carries a
+    /// `retry_after` hint (and [`ServiceConfig::client_retry`] is on),
+    /// backs off once for the hinted duration and retries with the
+    /// system the rejection handed back — exactly one bounded retry,
+    /// never a loop.
+    fn submit_retrying(
+        &self,
+        system: TridiagonalSystem<T>,
+        matrix_key: Option<MatrixKey>,
+    ) -> Result<Ticket<T>, ServiceError> {
+        match self.admit(system, None, matrix_key) {
+            Err((ServiceError::QueueFull { retry_after: Some(hint), .. }, system))
+                if self.client_retry =>
+            {
+                self.shared.clock.sleep(hint);
+                self.admit(*system, None, matrix_key).map_err(|(e, _)| e)
+            }
+            admitted => admitted.map_err(|(e, _)| e),
         }
     }
 
@@ -459,27 +507,12 @@ impl<T: Real> SolverService<T> {
         c: &[T],
         rhs_list: &[Vec<T>],
     ) -> Result<Vec<SolveResponse<T>>, ServiceError> {
-        let dispatch_cfg = &self.shared.dispatch_cfg;
-        let matrix_key = (dispatch_cfg.factor_cache.is_some() || dispatch_cfg.certified.is_some())
-            .then(|| MatrixKey::of::<T>(a, b, c));
+        let matrix_key = self.keyed().then(|| MatrixKey::of::<T>(a, b, c));
         let mut tickets = Vec::with_capacity(rhs_list.len());
         for d in rhs_list {
             let system = TridiagonalSystem::new(a.to_vec(), b.to_vec(), c.to_vec(), d.clone())
                 .map_err(ServiceError::InvalidRequest)?;
-            let ticket = match self.submit_keyed(system, None, matrix_key) {
-                Ok(ticket) => ticket,
-                Err(ServiceError::QueueFull { retry_after: Some(hint), .. })
-                    if self.client_retry =>
-                {
-                    self.shared.clock.sleep(hint);
-                    let system =
-                        TridiagonalSystem::new(a.to_vec(), b.to_vec(), c.to_vec(), d.clone())
-                            .map_err(ServiceError::InvalidRequest)?;
-                    self.submit_keyed(system, None, matrix_key)?
-                }
-                Err(e) => return Err(e),
-            };
-            tickets.push(ticket);
+            tickets.push(self.submit_retrying(system, matrix_key)?);
         }
         Ok(tickets.into_iter().map(Ticket::wait).collect())
     }
@@ -493,14 +526,8 @@ impl<T: Real> SolverService<T> {
         &self,
         system: TridiagonalSystem<T>,
     ) -> Result<SolveResponse<T>, ServiceError> {
-        match self.submit(system.clone()) {
-            Ok(ticket) => Ok(ticket.wait()),
-            Err(ServiceError::QueueFull { retry_after: Some(hint), .. }) if self.client_retry => {
-                self.shared.clock.sleep(hint);
-                Ok(self.submit(system)?.wait())
-            }
-            Err(e) => Err(e),
-        }
+        let matrix_key = self.key_of(&system);
+        Ok(self.submit_retrying(system, matrix_key)?.wait())
     }
 
     /// Current metrics snapshot (queue depth, plan-cache stats, and
@@ -575,79 +602,102 @@ fn worst_breaker_state(states: &std::collections::BTreeMap<String, String>, id: 
     worst
 }
 
-/// The batcher thread: queue → buckets → flush → routed device queue.
-fn batcher_loop<T: Real>(
-    shared: Arc<Shared<T>>,
-    target_batch: usize,
-    max_linger: Duration,
-    deadline_slack: Duration,
-) {
-    let mut table = BucketTable::new(target_batch, max_linger).with_deadline_slack(deadline_slack);
+/// The batcher thread: queue → scheduler → flush → routed device queue.
+fn batcher_loop<T: Real>(shared: Arc<Shared<T>>) {
+    let mut admitted = Vec::new();
     loop {
-        let deadline = table.next_deadline();
-        match shared.queue.pop_until(deadline, &shared.clock) {
-            Pop::Item(request) => {
-                let now = shared.clock.now();
-                if let Some(flush) = table.insert(request, now) {
-                    shared.route_flush(flush);
-                }
-                for flush in table.flush_expired(now) {
-                    shared.route_flush(flush);
-                }
+        let deadline = shared.scheduler().table().next_deadline();
+        let popped = shared.queue.pop_all_until(deadline, &shared.clock, &mut admitted);
+        let now = shared.clock.now();
+        let mut scheduler = shared.scheduler();
+        let flushes = match popped {
+            Pop::Items => {
+                let mut flushes: Vec<_> =
+                    admitted.drain(..).filter_map(|r| scheduler.admit(r, now)).collect();
+                flushes.extend(scheduler.due(now));
+                flushes
             }
-            Pop::TimedOut => {
-                for flush in table.flush_expired(shared.clock.now()) {
-                    shared.route_flush(flush);
-                }
-            }
-            Pop::Drained => {
-                // Shutdown: everything admitted has been popped; flush the
-                // partial buckets so no request is stranded, then close the
-                // device queues — workers exit once their backlog is served.
-                for flush in table.flush_all() {
-                    shared.route_flush(flush);
-                }
-                shared.queues.close();
-                break;
-            }
+            Pop::TimedOut => scheduler.due(now),
+            // Shutdown: everything admitted has been popped; flush the
+            // partial buckets so no request is stranded.
+            Pop::Drained => scheduler.flush_all(),
+        };
+        drop(scheduler);
+        for (flush, claimed) in flushes {
+            shared.route_flush(flush, claimed);
+        }
+        if popped == Pop::Drained {
+            // Workers exit once their backlog is served.
+            shared.queues.close();
+            break;
         }
     }
 }
 
-/// A worker thread pinned to one device: pop that device's queue (stealing
-/// from the longest other queue when idle), serve the batch, and — if its
-/// device was lost mid-batch — re-route the dead device's backlog onto
-/// survivors. Exits when the queues close and its backlog drains.
-fn worker_loop<T: Real>(shared: Arc<Shared<T>>, device_id: usize) {
-    loop {
-        // A lost device must not steal healthy devices' work — it would
-        // serve every batch through the CPU safety net. It still drains
-        // batches already routed to it (re-routing them below).
-        let allow_steal = !shared.pool.is_lost(device_id);
-        match shared.queues.pop(device_id, allow_steal) {
-            DevicePop::Closed => break,
-            DevicePop::Job { job, from } => {
-                if from != device_id {
-                    shared.pool.device(device_id).note_steal();
-                    shared.trace.emit(|| TraceEvent::Steal {
-                        at: shared.clock.now(),
-                        from: from as u64,
-                        to: device_id as u64,
-                    });
+/// The next flush for the worker on `device_id`, or `None` once the
+/// queues close and its backlog drains: a flush routed to its device (or
+/// stolen from the longest other queue); else the oldest bucket, pulled
+/// from the scheduler; else it parks as idle until a flush is routed.
+fn next_flush<T: Real>(shared: &Shared<T>, device_id: usize) -> Option<FlushedBatch<T>> {
+    // A lost device must not steal healthy devices' work or pull buckets —
+    // it would serve them through the CPU safety net. It still drains
+    // batches already routed to it (re-routing them in `worker_loop`).
+    let healthy = !shared.pool.is_lost(device_id);
+    let (routed, from) = match shared.queues.try_pop(device_id, healthy) {
+        Some(hit) => hit,
+        None => {
+            if healthy {
+                if let Some(flush) = shared.scheduler().park(device_id) {
+                    shared.emit_flush(&flush);
+                    return Some(flush);
                 }
-                shared.serve_on(device_id, job);
-                if shared.pool.is_lost(device_id) {
-                    // The device died under this batch: drain its queue and
-                    // re-route the stranded batches to healthy devices so
-                    // they are not served through guaranteed-dead launches.
-                    for stranded in shared.queues.drain(device_id) {
-                        match shared.pool.route() {
-                            Some(target) => shared.queues.push(target, stranded),
-                            // No healthy device left: the dead context's
-                            // ladder demotes straight to CPU GEP.
-                            None => shared.serve_on(device_id, stranded),
-                        }
+            }
+            let popped = shared.queues.pop(device_id, healthy);
+            if healthy {
+                shared.scheduler().woke(device_id);
+            }
+            match popped {
+                DevicePop::Closed => return None,
+                DevicePop::Job { job, from } => (job, from),
+            }
+        }
+    };
+    if routed.claimed {
+        shared.scheduler().release(from);
+    }
+    if from != device_id {
+        shared.pool.device(device_id).note_steal();
+        shared.trace.emit(|| TraceEvent::Steal {
+            at: shared.clock.now(),
+            from: from as u64,
+            to: device_id as u64,
+        });
+    }
+    Some(routed.flush)
+}
+
+/// A worker thread pinned to one device: take the next flush, serve it,
+/// and — if its device was lost mid-batch — re-route the dead device's
+/// backlog onto survivors. Exits when the queues close and its backlog
+/// drains.
+fn worker_loop<T: Real>(shared: Arc<Shared<T>>, device_id: usize) {
+    while let Some(flush) = next_flush(&shared, device_id) {
+        shared.serve_on(device_id, flush);
+        if shared.pool.is_lost(device_id) {
+            // The device died under this batch: drain its queue and
+            // re-route the stranded batches to healthy devices so they are
+            // not served through guaranteed-dead launches.
+            for stranded in shared.queues.drain(device_id) {
+                if stranded.claimed {
+                    shared.scheduler().release(device_id);
+                }
+                match shared.pool.route() {
+                    Some(target) => {
+                        shared.queues.push(target, Routed { claimed: false, ..stranded })
                     }
+                    // No healthy device left: the dead context's ladder
+                    // demotes straight to CPU GEP.
+                    None => shared.serve_on(device_id, stranded.flush),
                 }
             }
         }
@@ -701,23 +751,41 @@ mod tests {
         assert!(snap.flushes_linger + snap.flushes_shutdown >= 1);
     }
 
+    /// Spins until `idle` of the service's workers are parked with nothing
+    /// routed to them (bounded, so a broken park cannot hang the test).
+    fn wait_for_idle<T: Real>(service: &SolverService<T>, idle: usize) {
+        let since = std::time::Instant::now();
+        while service.shared.scheduler().idle() != idle {
+            assert!(since.elapsed() < Duration::from_secs(30), "workers never parked");
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn shutdown_drains_in_flight_requests() {
-        // Long linger so the requests are still parked in buckets when
+        // The only worker is busy with a large system, so the small
+        // requests are still parked in their bucket (60 s linger) when
         // shutdown begins — the drain must still answer them all.
         let config = ServiceConfig {
             max_linger: Duration::from_secs(60),
             target_batch: 1000,
+            workers: 1,
+            pin_engine: Some(crate::planner::Engine::Cpu(crate::planner::CpuEngine::Thomas)),
             ..quick_config()
         };
         let service: SolverService<f32> = SolverService::start(config);
         let mut generator = Generator::new(3);
+        let large = generator.system(Workload::DiagonallyDominant, 1 << 20);
+        wait_for_idle(&service, 1);
+        let large = service.submit(large).unwrap();
+        wait_for_idle(&service, 0);
         let tickets: Vec<_> = (0..5)
             .map(|_| service.submit(generator.system(Workload::DiagonallyDominant, 32)).unwrap())
             .collect();
         let snap = service.shutdown();
-        assert_eq!(snap.completed, 5);
+        assert_eq!(snap.completed, 6);
         assert_eq!(snap.flushes_shutdown, 1);
+        assert!(large.try_take().is_some());
         for ticket in tickets {
             assert!(ticket.try_take().is_some(), "shutdown must fulfil parked requests");
         }
@@ -778,6 +846,36 @@ mod tests {
     }
 
     #[test]
+    fn a_full_queue_gets_exactly_one_client_retry() {
+        // Holding the scheduler lock stalls the batcher with one request
+        // in hand, so a second one keeps the one-slot queue full.
+        for client_retry in [true, false] {
+            let config = ServiceConfig { queue_capacity: 1, client_retry, ..quick_config() };
+            let service: SolverService<f32> = SolverService::start(config);
+            let mut generator = Generator::new(13);
+            let mut system = || generator.system(Workload::DiagonallyDominant, 32);
+            service.submit_wait(system()).unwrap(); // a completion, so a hint exists
+            let stall = service.shared.scheduler();
+            let first = service.submit(system()).unwrap();
+            let since = std::time::Instant::now();
+            while !service.shared.queue.is_empty() {
+                assert!(since.elapsed() < Duration::from_secs(30), "batcher never drained");
+                std::thread::yield_now();
+            }
+            let second = service.submit(system()).unwrap();
+            match service.submit_wait(system()) {
+                Err(ServiceError::QueueFull { retry_after: Some(_), .. }) => {}
+                other => panic!("expected QueueFull with a hint, got {other:?}"),
+            }
+            let retries = u64::from(client_retry);
+            assert_eq!(service.metrics().rejected, 1 + retries, "one retry, never a loop");
+            drop(stall);
+            assert!(first.wait().residual < 1e-2 && second.wait().residual < 1e-2);
+            assert_eq!(service.shutdown().completed, 3);
+        }
+    }
+
+    #[test]
     fn past_deadlines_are_rejected_at_admission() {
         let service: SolverService<f32> = SolverService::start(quick_config());
         let system = Generator::new(6).system(Workload::DiagonallyDominant, 32);
@@ -794,9 +892,11 @@ mod tests {
 
     #[test]
     fn deadline_forces_an_early_flush_long_before_linger() {
-        // Linger is 60 s: without deadline-aware flushing this request
-        // would be answered only at shutdown. Its 20 ms deadline must pull
-        // the flush forward.
+        // Linger is 60 s and the batch target is out of reach: the 20 ms
+        // deadline is met on an idle service. (Which rule flushed it — the
+        // idle worker's or the deadline's — is the pure scheduler's
+        // business; `batcher::tests` labels a deadline flush there, with
+        // every worker busy.)
         let config = ServiceConfig {
             max_linger: Duration::from_secs(60),
             target_batch: 1000,
@@ -813,17 +913,18 @@ mod tests {
             waited < Duration::from_secs(10),
             "deadline must beat the 60 s linger, waited {waited:?}"
         );
+        assert!(!resp.deadline_missed, "an idle service meets a 20 ms deadline");
         assert!(resp.residual < 1e-2, "{}", resp.residual);
         let snap = service.shutdown();
-        assert_eq!(snap.flushes_deadline, 1, "the deadline triggered the flush");
+        assert_eq!(snap.flushes_shutdown, 0, "flushed long before shutdown");
         assert_eq!(snap.completed, 1);
     }
 
     #[test]
     fn sim_clock_service_answers_without_real_lingering() {
-        // A 60 s linger under the simulated clock: the batcher's wait
-        // advances virtual time to the linger deadline instead of parking
-        // for a real minute — the lone request is answered promptly.
+        // A 60 s linger under the simulated clock: a lone request goes
+        // straight to the idle worker, so neither real nor virtual time
+        // is spent lingering.
         let config = ServiceConfig {
             max_linger: Duration::from_secs(60),
             target_batch: 1000,
@@ -835,15 +936,92 @@ mod tests {
         let system = Generator::new(9).system(Workload::DiagonallyDominant, 32);
         let resp = service.submit_wait(system).unwrap();
         assert!(resp.residual < 1e-3);
-        assert!(wall.elapsed() < Duration::from_secs(10), "virtual linger must not cost real time");
-        assert!(
-            resp.latency >= Duration::from_secs(59),
-            "the virtual linger is visible in the latency: {:?}",
-            resp.latency
-        );
+        assert!(wall.elapsed() < Duration::from_secs(10), "no real linger");
+        assert!(resp.latency < Duration::from_secs(1), "no virtual linger: {:?}", resp.latency);
         let snap = service.shutdown();
         assert_eq!(snap.completed, 1);
-        assert!(snap.flushes_linger >= 1, "the linger deadline fired virtually");
+        assert_eq!(snap.flushes_linger, 1, "the idle worker closed the window at once");
+    }
+
+    #[test]
+    fn a_lone_request_skips_the_linger() {
+        // The worker is parked before the request arrives, so only the
+        // batcher's idle check can flush it short of the 60 s linger.
+        let config = ServiceConfig {
+            max_linger: Duration::from_secs(60),
+            target_batch: 1000,
+            workers: 1,
+            ..quick_config()
+        };
+        let service: SolverService<f32> = SolverService::start(config);
+        wait_for_idle(&service, 1);
+        let started = std::time::Instant::now();
+        let resp = service.submit_wait(Generator::new(10).system(Workload::Poisson, 128)).unwrap();
+        let waited = started.elapsed();
+        assert!(waited < Duration::from_secs(10), "a lone request waited {waited:?}");
+        assert_eq!(resp.batch_occupancy, 1);
+        assert_eq!(service.shutdown().flushes_linger, 1);
+    }
+
+    #[test]
+    fn a_burst_drains_without_waiting_out_the_linger() {
+        // Mixed sizes, a 60 s linger and an unreachable batch target: the
+        // batcher hands the idle worker one bucket, and every other
+        // partial bucket must be pulled by the worker as it runs dry.
+        let config = ServiceConfig {
+            queue_capacity: 256,
+            max_linger: Duration::from_secs(60),
+            target_batch: 1000,
+            workers: 1,
+            ..quick_config()
+        };
+        let service: SolverService<f32> = SolverService::start(config);
+        let mut generator = Generator::new(11);
+        let started = std::time::Instant::now();
+        let tickets: Vec<_> = (0..200)
+            .map(|i| {
+                let n = [32, 64, 128, 256][i % 4];
+                service.submit(generator.system(Workload::DiagonallyDominant, n)).unwrap()
+            })
+            .collect();
+        for ticket in tickets {
+            assert!(ticket.wait().residual < 1e-2);
+        }
+        let waited = started.elapsed();
+        assert!(waited < Duration::from_secs(10), "the burst waited {waited:?}");
+        let snap = service.shutdown();
+        assert_eq!(snap.completed, 200);
+        assert_eq!(snap.flushes_total(), snap.flushes_linger, "every flush an idle one");
+    }
+
+    #[test]
+    fn an_idle_flush_lands_on_an_idle_device() {
+        // Four devices, one busy with a large system: the lone requests
+        // that follow must each go to a parked worker's device, never
+        // queue behind the busy one.
+        let config = ServiceConfig {
+            pool: Some(device_pool::PoolConfig::new(4)),
+            max_linger: Duration::from_secs(60),
+            target_batch: 1000,
+            pin_engine: Some(crate::planner::Engine::Gpu(gpu_solvers::GpuAlgorithm::CrGlobalOnly)),
+            ..quick_config()
+        };
+        let service: SolverService<f32> = SolverService::start(config);
+        let mut generator = Generator::new(12);
+        let large = generator.system(Workload::DiagonallyDominant, 1 << 16);
+        wait_for_idle(&service, 4);
+        let large = service.submit(large).unwrap();
+        wait_for_idle(&service, 3);
+        for _ in 0..8 {
+            let resp =
+                service.submit_wait(generator.system(Workload::DiagonallyDominant, 64)).unwrap();
+            assert!(resp.residual < 1e-2, "{}", resp.residual);
+        }
+        assert!(large.try_take().is_none(), "the large system outlasts the lone ones");
+        let snap = service.shutdown();
+        let served: Vec<u64> = snap.devices.iter().map(|d| d.dispatched).collect();
+        assert_eq!(served[0], 1, "the busy device served only the large system: {served:?}");
+        assert_eq!(served.iter().sum::<u64>(), 9);
     }
 
     #[test]

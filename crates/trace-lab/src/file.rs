@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! [4]  magic "TLB1"
-//! [v]  version          (varint, currently 1)
+//! [v]  version          (varint, currently 2)
 //! [v]  seed             (varint, echo of scenario.seed)
 //! [8]  config_hash      (FNV-1a/64 of the encoded scenario, LE)
 //! [s]  git_rev          (length-prefixed string; "unknown" outside git)
@@ -23,8 +23,12 @@ use std::path::Path;
 /// File magic: "trace-lab, format 1".
 pub const MAGIC: [u8; 4] = *b"TLB1";
 
-/// Current format version.
-pub const VERSION: u64 = 1;
+/// Current format version. It moves whenever the harness's decisions do,
+/// not only when the byte layout does: version 2 is the work-conserving
+/// harness (rule 5 in [`crate::harness`]), so a version-1 capture — whose
+/// stream the harness no longer reproduces — is refused with
+/// [`TraceError::BadVersion`] instead of diverging on replay.
+pub const VERSION: u64 = 2;
 
 /// Why a trace file failed to load.
 #[derive(Debug)]
@@ -284,6 +288,19 @@ mod tests {
         let checksum = fnv1a64(&bytes[..len - 8]);
         bytes[len - 8..].copy_from_slice(&checksum.to_le_bytes());
         assert!(matches!(TraceFile::from_bytes(&bytes), Err(TraceError::BadVersion(9))));
+    }
+
+    #[test]
+    fn a_version_1_trace_is_refused() {
+        // Byte-identical layout, but captured under the lingering harness:
+        // replaying it would diverge, so loading refuses it up front.
+        let mut bytes = sample().to_bytes();
+        assert_eq!(bytes[4], VERSION as u8);
+        bytes[4] = 1;
+        let len = bytes.len();
+        let checksum = fnv1a64(&bytes[..len - 8]);
+        bytes[len - 8..].copy_from_slice(&checksum.to_le_bytes());
+        assert!(matches!(TraceFile::from_bytes(&bytes), Err(TraceError::BadVersion(1))));
     }
 
     #[test]

@@ -12,14 +12,22 @@
 //! [`Scenario`], which is what makes bit-identical replay possible (the
 //! invariant DESIGN.md §10 states precisely).
 //!
-//! Tie-break rules, fixed forever (changing any of these invalidates old
-//! traces):
+//! Tie-break rules, fixed for a trace format version (changing any of
+//! these invalidates old traces, so it bumps [`crate::file::VERSION`]):
 //! 1. at a given tick, due linger/deadline flushes fire before arrivals;
 //! 2. arrivals are admitted in index order;
 //! 3. a flush triggered by an insert (bucket full) is served immediately,
 //!    before the next arrival is considered;
 //! 4. shutdown drains buckets in ascending size order (the bucket table's
-//!    iteration order).
+//!    iteration order);
+//! 5. after the arrivals due at a tick are admitted, the idle single
+//!    server takes the oldest bucket (ties by ascending size) — the
+//!    service's work-conserving rule. Serving is synchronous, so requests
+//!    wait in buckets only for arrivals that land while a flush is being
+//!    served, and the linger bound applies only then.
+//!
+//! Every delivered answer is judged by its f64 residual, recomputed here
+//! from the held system — never by the residual the service reports.
 
 use crate::record::RecordingSink;
 use crate::scenario::Scenario;
@@ -35,6 +43,7 @@ use solver_service::{
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
+use tridiag_core::residual::l2_residual;
 use tridiag_core::{splitmix64_next, Generator, MatrixKey, TridiagonalSystem, Workload};
 
 /// What one harness run measured, alongside the event stream.
@@ -47,7 +56,7 @@ pub struct RunStats {
     /// Per-served-request virtual latency (submit → fulfilled), ns,
     /// in submission order.
     pub latencies_ns: Vec<u64>,
-    /// Responses that escaped the verify bound (must stay 0).
+    /// Answers whose recomputed residual missed the bound (must stay 0).
     pub wrong: u64,
     /// Systems the verify step re-solved with GEP.
     pub repairs: u64,
@@ -64,7 +73,8 @@ pub struct RunOutput {
     pub stats: RunStats,
 }
 
-/// Residual bound a served f32 answer must beat to count as correct.
+/// Bound a served f32 answer's recomputed f64 residual must beat to count
+/// as correct.
 const RESIDUAL_BOUND: f64 = 1e-2;
 
 /// Emits the Flush event and serves the batch synchronously — the
@@ -140,19 +150,18 @@ pub fn run(scenario: &Scenario) -> RunOutput {
     // in index order.
     let arrivals: Vec<Tick> = (0..scenario.requests).map(|i| scenario.arrival_tick(i)).collect();
 
-    let mut tickets: Vec<Ticket<f32>> = Vec::new();
+    // Each admitted system, held for the oracle, with its ticket.
+    let mut held: Vec<(TridiagonalSystem<f32>, Ticket<f32>)> = Vec::new();
     let mut rejected = 0u64;
     let mut next_id = 0u64;
     let mut i = 0usize;
 
     while i < arrivals.len() || table.pending() > 0 {
-        let next = match (arrivals.get(i).copied(), table.next_deadline()) {
-            (Some(a), Some(d)) => a.min(d),
-            (Some(a), None) => a,
-            (None, Some(d)) => d,
-            (None, None) => break,
-        };
-        clock.advance_to(next);
+        // The server is idle here: a waiting bucket is served now (rule
+        // 5); with none, time moves to the next arrival.
+        if table.pending() == 0 {
+            clock.advance_to(arrivals[i]);
+        }
 
         // Rule 1: due flushes fire before arrivals at the same tick.
         for flush in table.flush_expired(clock.now()) {
@@ -198,13 +207,19 @@ pub fn run(scenario: &Scenario) -> RunOutput {
                 let id = next_id;
                 next_id += 1;
                 trace.emit(|| TraceEvent::Admit { at, id, n: n as u64 });
-                let (request, ticket) = make_request_keyed(id, system, at, None, matrix_key);
-                tickets.push(ticket);
+                let (request, ticket) =
+                    make_request_keyed(id, system.clone(), at, None, matrix_key);
+                held.push((system, ticket));
                 if let Some(flush) = table.insert(request, at) {
                     serve_one(flush, &launcher, &plans, &breakers, &metrics, &cfg, &trace, &clock);
                 }
             }
             i += 1;
+        }
+
+        // Rule 5: the idle server takes the oldest bucket.
+        if let Some(flush) = table.take_oldest() {
+            serve_one(flush, &launcher, &plans, &breakers, &metrics, &cfg, &trace, &clock);
         }
     }
 
@@ -213,14 +228,15 @@ pub fn run(scenario: &Scenario) -> RunOutput {
         serve_one(flush, &launcher, &plans, &breakers, &metrics, &cfg, &trace, &clock);
     }
 
-    let mut latencies_ns = Vec::with_capacity(tickets.len());
+    let mut latencies_ns = Vec::with_capacity(held.len());
     let mut wrong = 0u64;
     let mut repairs = 0u64;
-    for ticket in tickets {
+    for (system, ticket) in held {
         let response: SolveResponse<f32> =
             ticket.try_take().expect("single-threaded serve fulfills every admitted ticket");
         latencies_ns.push(response.latency.as_nanos().min(u64::MAX as u128) as u64);
-        if !response.residual.is_finite() || response.residual >= RESIDUAL_BOUND {
+        let residual = l2_residual(&system, &response.x).unwrap_or(f64::INFINITY);
+        if !residual.is_finite() || residual >= RESIDUAL_BOUND {
             wrong += 1;
         }
         repairs += u64::from(response.repaired);
@@ -305,6 +321,32 @@ mod tests {
         // The flood must actually stress admission — otherwise the cell
         // tests nothing.
         assert!(out.stats.rejected > 0, "adversarial cell never filled the queue");
+    }
+
+    #[test]
+    fn arrivals_during_a_long_serve_share_the_next_flush() {
+        // An n = 1024 system takes ~26 µs of virtual time to serve, over
+        // two arrival periods: the n = 64 requests landing meanwhile wait
+        // in their bucket and go out together once the server is free,
+        // and no request waits out the 200 µs linger.
+        let scenario = Scenario {
+            name: "busy".into(),
+            rate_rps: 100_000,
+            sizes: vec![64, 64, 64, 1024],
+            target_batch: 1000,
+            ..Scenario::steady(400)
+        };
+        let out = run(&scenario);
+        assert_eq!(out.stats.served, 400);
+        assert_eq!(out.stats.wrong, 0);
+        let shared = out
+            .events
+            .iter()
+            .filter(|e| matches!(e, TraceEvent::Flush { n: 64, occupancy, .. } if *occupancy > 1));
+        assert!(shared.count() > 0, "no arrivals shared a flush while the server was busy");
+        let linger_ns = scenario.max_linger_us * 1_000;
+        let worst = out.stats.latencies_ns.iter().max().copied().unwrap_or(0);
+        assert!(worst < linger_ns, "a request waited {worst} ns, past the {linger_ns} ns linger");
     }
 
     #[test]

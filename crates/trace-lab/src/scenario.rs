@@ -16,7 +16,8 @@
 //!   idle gaps, the classic open-loop flash crowd.
 //! * [`Pattern::AdversarialSmallN`] — a flood of tiny systems with many
 //!   distinct sizes, deliberately defeating batching (one bucket per
-//!   size) and pinning traffic to the CPU path.
+//!   size), pinning traffic to the CPU path and offered faster than the
+//!   server can solve it.
 
 use crate::codec::{put_str, put_u64, CodecError, Reader};
 use gpu_sim::Tick;
@@ -159,20 +160,23 @@ impl Scenario {
 
     /// The adversarial cell: a small-n flood with many distinct sizes
     /// (batching defeated — every size is its own bucket) under a 5%
-    /// transient-fault device.
+    /// transient-fault device, offered faster than the server can solve.
     pub fn adversarial(requests: u64) -> Self {
         Self {
             name: "adversarial-small-n".into(),
             pattern: Pattern::AdversarialSmallN,
             seed: 0xADE5_0003,
-            rate_rps: 400_000,
+            // An overload, not a linger artefact: the work-conserving
+            // server solves this flood at about 2.5M req/s of virtual
+            // time, flushing whatever few same-size requests arrived
+            // during its last serve, so at 3.2M req/s pending overruns the
+            // queue — the cell must shed load to pass.
+            rate_rps: 3_200_000,
             sizes: vec![4, 8, 16, 32, 5, 9, 17, 33],
             launch_fault_ppm: 50_000,
             bit_flip_ppm: 10_000,
-            // Batching is defeated by construction: eight size buckets
-            // that each need 16 same-size arrivals to fill, so flushes are
-            // linger-driven and pending overruns the queue — the cell must
-            // shed load to pass.
+            // Eight size buckets that each need 16 same-size arrivals to
+            // fill: batching cannot catch up with the flood.
             target_batch: 16,
             queue_capacity: 64,
             ..Self::steady(requests)
