@@ -3,9 +3,31 @@
 # resolves to an in-tree shim (see shims/README.md), so no network or
 # registry access is needed — `cargo --offline` is enforced throughout.
 #
-# Usage: ./ci.sh
+# Usage: ./ci.sh              the full pipeline
+#        ./ci.sh --repeat N   only reruns the threaded-service tests (the
+#                             solver-service unit tests, tests/chaos_service.rs
+#                             and tests/service_stream.rs) N times, stopping
+#                             at the first failure: a flaky test shows here
 set -euo pipefail
 cd "$(dirname "$0")"
+
+if [[ "${1:-}" == "--repeat" ]]; then
+    runs="${2:-}"
+    if ! [[ "$runs" =~ ^[1-9][0-9]*$ ]]; then
+        echo "usage: $0 [--repeat N]   (N >= 1)" >&2
+        exit 2
+    fi
+    for ((i = 1; i <= runs; i++)); do
+        echo "==> threaded-service tests, run $i/$runs"
+        cargo test --offline --release -q -p solver-service --lib
+        cargo test --offline --release -q --test chaos_service --test service_stream
+    done
+    echo "==> $runs/$runs runs green"
+    exit 0
+elif [[ $# -gt 0 ]]; then
+    echo "usage: $0 [--repeat N]   (N >= 1)" >&2
+    exit 2
+fi
 
 # Every change states its net Rust line delta; print the total it is
 # measured from (tracked files only, so build output never counts).

@@ -30,11 +30,13 @@
 //! The bucketing logic lives in the pure, thread-free [`BucketTable`] so
 //! the edge cases (lone-request linger flush, size-class isolation, flush
 //! ordering, oldest-bucket choice) are deterministically testable. The
-//! work-conserving rule — which flush goes to which idle worker — lives in
-//! the equally thread-free [`Scheduler`], the table plus the idle-worker
-//! count; the service keeps it under one lock shared by its batcher thread
-//! (which sleeps exactly until the earliest linger deadline) and its
-//! workers (which pull the oldest bucket themselves when they run dry).
+//! work-conserving rule — which flush goes to which idle worker — and the
+//! admission cap live in the equally thread-free [`Scheduler`], the table
+//! plus the idle-worker count. The service keeps it under one lock shared
+//! by its submitters (which admit and flush on their own thread) and its
+//! workers (which pull the most urgent bucket themselves when they run
+//! dry). There is no timer: a bucket is only held while every worker is
+//! busy, and the first worker to free up takes it.
 
 use crate::request::SolveRequest;
 use gpu_sim::Tick;
@@ -188,9 +190,25 @@ impl<T: Real> BucketTable<T> {
 
     /// The earliest flush point across all buckets (linger deadline pulled
     /// earlier by member deadlines), or `None` when everything is empty
-    /// (the batcher thread sleeps on the queue alone).
+    /// (an event loop then waits for the next arrival alone).
     pub fn next_deadline(&self) -> Option<Tick> {
         self.buckets.values().map(|b| b.flush_at(self.max_linger, self.deadline_slack)).min()
+    }
+
+    /// Takes the most urgent bucket whose flush point has arrived at `now`
+    /// — earliest flush point, ties broken by ascending `n` — labelled as
+    /// [`flush_expired`](Self::flush_expired) labels it. `None` when no
+    /// bucket is due.
+    pub fn take_due(&mut self, now: Tick) -> Option<FlushedBatch<T>> {
+        let (_, n) = self
+            .buckets
+            .iter()
+            .map(|(&n, b)| (b.flush_at(self.max_linger, self.deadline_slack), n))
+            .filter(|&(at, _)| at <= now)
+            .min()?;
+        let bucket = self.buckets.remove(&n).expect("found above");
+        let reason = bucket.flush_reason(now, self.max_linger);
+        Some(FlushedBatch { n, requests: bucket.requests, reason })
     }
 
     /// Takes the oldest bucket — earliest `oldest` tick, ties broken by
@@ -240,15 +258,30 @@ impl<T: Real> BucketTable<T> {
 /// no worker was idle; the caller routes it as usual).
 pub type Assigned<T> = (FlushedBatch<T>, Option<usize>);
 
-/// The work-conserving flush rule: the [`BucketTable`] plus, per device,
-/// the workers parked with nothing routed to them.
+/// Why the [`Scheduler`] refused an admission.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refusal {
+    /// The buckets already hold the admission cap of requests.
+    Full,
+    /// The scheduler is closed: the service is shutting down.
+    Closed,
+}
+
+/// A refused admission: why, and the request handed back.
+pub type Refused<T> = (Refusal, Box<SolveRequest<T>>);
+
+/// The work-conserving flush rule and the admission cap: the
+/// [`BucketTable`] plus, per device, the workers parked with nothing
+/// routed to them.
 ///
 /// While a worker is idle the table holds nothing back: every admission
 /// ends with the oldest buckets going to idle workers, and a worker that
-/// runs dry takes the oldest bucket itself instead of parking. Only while
-/// every worker is busy do requests wait in buckets, for the target
-/// batch, `max_linger` or a deadline. A flush claims an idle worker's
-/// device whenever one exists, so it never queues behind a busy worker.
+/// runs dry takes the most urgent bucket itself instead of parking. Only
+/// while every worker is busy do requests wait in buckets, for the target
+/// batch, `max_linger` or a deadline — and then the first worker to free
+/// up takes a bucket whose linger or deadline point has passed before any
+/// other. A flush claims an idle worker's device whenever one exists, so
+/// it never queues behind a busy worker.
 ///
 /// Thread-free so the rule is tested without threads; a threaded caller
 /// keeps it under one lock, so a worker parking and a request arriving
@@ -258,6 +291,10 @@ pub type Assigned<T> = (FlushedBatch<T>, Option<usize>);
 /// queue (whichever worker takes it).
 pub struct Scheduler<T: Real> {
     table: BucketTable<T>,
+    /// Most requests the buckets may hold; admission beyond is refused.
+    capacity: usize,
+    /// Set by [`close`](Self::close); every later admission is refused.
+    closed: bool,
     /// Per device: workers parked waiting for work.
     parked: Vec<usize>,
     /// Per device: claimed flushes routed there and not yet taken.
@@ -265,14 +302,21 @@ pub struct Scheduler<T: Real> {
 }
 
 impl<T: Real> Scheduler<T> {
-    /// Wraps `table` for `devices` devices, every worker busy.
-    pub fn new(table: BucketTable<T>, devices: usize) -> Self {
-        Self { table, parked: vec![0; devices], claimed: vec![0; devices] }
+    /// Wraps `table` for `devices` devices, every worker busy, admitting
+    /// while fewer than `capacity` requests wait in buckets.
+    pub fn new(table: BucketTable<T>, devices: usize, capacity: usize) -> Self {
+        assert!(capacity >= 1, "admission capacity must be >= 1");
+        Self { table, capacity, closed: false, parked: vec![0; devices], claimed: vec![0; devices] }
     }
 
     /// The bucket table (deadlines, pending count).
     pub fn table(&self) -> &BucketTable<T> {
         &self.table
+    }
+
+    /// The admission cap.
+    pub fn capacity(&self) -> usize {
+        self.capacity
     }
 
     /// Parked workers that no claimed flush is on its way to.
@@ -288,10 +332,20 @@ impl<T: Real> Scheduler<T> {
     }
 
     /// Adds `request`; returns its bucket when that reaches the target
-    /// batch size.
-    pub fn admit(&mut self, request: SolveRequest<T>, now: Tick) -> Option<Assigned<T>> {
-        let flush = self.table.insert(request, now)?;
-        Some((flush, self.claim()))
+    /// batch size. Refused — the request handed back — once the scheduler
+    /// is closed, or while the buckets hold `capacity` requests.
+    pub fn admit(
+        &mut self,
+        request: SolveRequest<T>,
+        now: Tick,
+    ) -> Result<Option<Assigned<T>>, Refused<T>> {
+        if self.closed {
+            return Err((Refusal::Closed, Box::new(request)));
+        }
+        if self.table.pending() >= self.capacity {
+            return Err((Refusal::Full, Box::new(request)));
+        }
+        Ok(self.table.insert(request, now).map(|flush| (flush, self.claim())))
     }
 
     /// What must flush at `now`, after the admissions due: the oldest
@@ -309,11 +363,11 @@ impl<T: Real> Scheduler<T> {
         out
     }
 
-    /// A worker on `device` ran out of routed work: it takes the oldest
-    /// bucket itself, or — when every bucket is empty — parks as idle
-    /// (and returns `None`).
-    pub fn park(&mut self, device: usize) -> Option<FlushedBatch<T>> {
-        let flush = self.table.take_oldest();
+    /// A worker on `device` ran out of routed work: it takes the most
+    /// urgent bucket due at `now`, else the oldest bucket, or — when every
+    /// bucket is empty — parks as idle (and returns `None`).
+    pub fn park(&mut self, device: usize, now: Tick) -> Option<FlushedBatch<T>> {
+        let flush = self.table.take_due(now).or_else(|| self.table.take_oldest());
         if flush.is_none() {
             self.parked[device] += 1;
         }
@@ -330,8 +384,10 @@ impl<T: Real> Scheduler<T> {
         self.claimed[device] -= 1;
     }
 
-    /// Shutdown: every bucket, in ascending size order.
-    pub fn flush_all(&mut self) -> Vec<Assigned<T>> {
+    /// Shutdown: refuses every later admission and flushes every bucket,
+    /// in ascending size order.
+    pub fn close(&mut self) -> Vec<Assigned<T>> {
+        self.closed = true;
         self.table.flush_all().into_iter().map(|flush| (flush, self.claim())).collect()
     }
 }
@@ -525,22 +581,22 @@ mod tests {
     }
 
     fn scheduler(devices: usize) -> Scheduler<f32> {
-        Scheduler::new(BucketTable::new(64, Duration::from_millis(10)), devices)
+        Scheduler::new(BucketTable::new(64, Duration::from_millis(10)), devices, 1024)
     }
 
     #[test]
     fn an_idle_worker_takes_an_admission_at_once() {
         let mut s = scheduler(1);
-        assert!(s.park(0).is_none(), "nothing to pull: the worker parks");
+        assert!(s.park(0, 0).is_none(), "nothing to pull: the worker parks");
         assert_eq!(s.idle(), 1);
-        assert!(s.admit(req(0, 32), 0).is_none(), "far from the target batch");
+        assert!(s.admit(req(0, 32), 0).unwrap().is_none(), "far from the target batch");
         let due = s.due(0);
         assert_eq!(due.len(), 1, "the lone request does not wait out the linger");
         assert_eq!(due[0].0.reason, FlushReason::Linger);
         assert_eq!(due[0].1, Some(0), "it lands on the idle worker's device");
         assert_eq!(s.idle(), 0, "that worker is claimed");
         // A second arrival before the worker wakes waits in its bucket.
-        s.admit(req(1, 32), ms(1));
+        s.admit(req(1, 32), ms(1)).unwrap();
         assert!(s.due(ms(1)).is_empty());
         assert_eq!(s.table().pending(), 1);
     }
@@ -551,6 +607,7 @@ mod tests {
         let mut s = Scheduler::new(
             BucketTable::new(64, Duration::from_millis(10)).with_deadline_slack(Duration::ZERO),
             1,
+            1024,
         );
         let (req_d, _ticket) = crate::request::make_request_at(
             0,
@@ -558,7 +615,7 @@ mod tests {
             0,
             Some(ms(4)),
         );
-        assert!(s.admit(req_d, 0).is_none());
+        assert!(s.admit(req_d, 0).unwrap().is_none());
         assert!(s.due(ms(3)).is_empty(), "every worker busy: the request waits");
         let due = s.due(ms(4));
         assert_eq!(due.len(), 1);
@@ -569,24 +626,24 @@ mod tests {
     #[test]
     fn a_worker_that_runs_dry_pulls_the_oldest_bucket() {
         let mut s = scheduler(1);
-        s.admit(req(0, 128), ms(2));
-        s.admit(req(1, 64), ms(3));
-        let pulled = s.park(0).expect("a bucket is waiting");
+        s.admit(req(0, 128), ms(2)).unwrap();
+        s.admit(req(1, 64), ms(3)).unwrap();
+        let pulled = s.park(0, ms(3)).expect("a bucket is waiting");
         assert_eq!(pulled.n, 128, "oldest first");
         assert_eq!(s.idle(), 0, "a worker that pulls does not park");
-        assert_eq!(s.park(0).map(|f| f.n), Some(64));
-        assert!(s.park(0).is_none());
+        assert_eq!(s.park(0, ms(3)).map(|f| f.n), Some(64));
+        assert!(s.park(0, ms(3)).is_none());
         assert_eq!(s.idle(), 1);
     }
 
     #[test]
     fn flushes_claim_idle_devices_and_claims_are_returned() {
         let mut s = scheduler(4);
-        s.park(2);
-        s.park(3);
-        s.admit(req(0, 32), 0);
-        s.admit(req(1, 64), 0);
-        s.admit(req(2, 128), 0);
+        s.park(2, 0);
+        s.park(3, 0);
+        s.admit(req(0, 32), 0).unwrap();
+        s.admit(req(1, 64), 0).unwrap();
+        s.admit(req(2, 128), 0).unwrap();
         let due = s.due(0);
         let devices: Vec<_> = due.iter().map(|(f, d)| (f.n, *d)).collect();
         assert_eq!(devices, vec![(32, Some(2)), (64, Some(3))], "busy devices 0 and 1 get none");
@@ -602,11 +659,118 @@ mod tests {
 
     #[test]
     fn a_full_bucket_claims_an_idle_device() {
-        let mut s = Scheduler::new(BucketTable::new(2, Duration::from_millis(10)), 2);
-        s.park(1);
-        assert!(s.admit(req(0, 32), 0).is_none());
-        let (flush, device) = s.admit(req(1, 32), 0).expect("target reached");
+        let mut s = Scheduler::new(BucketTable::new(2, Duration::from_millis(10)), 2, 1024);
+        s.park(1, 0);
+        assert!(s.admit(req(0, 32), 0).unwrap().is_none());
+        let (flush, device) = s.admit(req(1, 32), 0).unwrap().expect("target reached");
         assert_eq!((flush.reason, device), (FlushReason::Full, Some(1)));
         assert_eq!(s.idle(), 0);
+    }
+
+    #[test]
+    fn admission_is_refused_at_capacity_and_after_close() {
+        let mut s = Scheduler::new(BucketTable::new(64, Duration::from_millis(10)), 1, 2);
+        s.admit(req(0, 32), 0).unwrap();
+        s.admit(req(1, 64), 0).unwrap();
+        let (refusal, back) = s.admit(req(2, 32), 0).expect_err("two requests fill a cap of 2");
+        assert_eq!((refusal, back.id), (Refusal::Full, 2), "the refused request comes back");
+        assert_eq!(s.table().pending(), 2, "nothing was admitted");
+        // A worker pulling a bucket frees its slots.
+        assert_eq!(s.park(0, 0).map(|f| f.n), Some(32));
+        s.admit(req(3, 32), 0).unwrap();
+        // Close drains every bucket and refuses everything after.
+        let drained = s.close();
+        let sizes: Vec<_> = drained.iter().map(|(f, _)| (f.n, f.reason)).collect();
+        assert_eq!(sizes, vec![(32, FlushReason::Shutdown), (64, FlushReason::Shutdown)]);
+        let (refusal, back) = s.admit(req(4, 32), 0).expect_err("closed");
+        assert_eq!((refusal, back.id), (Refusal::Closed, 4));
+        assert_eq!(s.table().pending(), 0);
+        assert!(s.close().is_empty(), "closing twice flushes nothing");
+    }
+
+    #[test]
+    fn a_worker_takes_a_due_bucket_before_an_older_undue_one() {
+        // Every worker is busy while three buckets fill; the first worker
+        // to free up must take the younger bucket whose deadline point has
+        // passed, then the expired linger bucket, and only then the oldest.
+        let mut s = Scheduler::new(
+            BucketTable::new(64, Duration::from_millis(10)).with_deadline_slack(Duration::ZERO),
+            1,
+            1024,
+        );
+        s.admit(req(0, 512), 0).unwrap();
+        s.admit(req(1, 128), ms(1)).unwrap();
+        let (urgent, _ticket) = crate::request::make_request_at(
+            2,
+            TridiagonalSystem::toeplitz(32, -1.0, 4.0, -1.0, 1.0).unwrap(),
+            ms(2),
+            Some(ms(5)),
+        );
+        s.admit(urgent, ms(2)).unwrap();
+        let first = s.park(0, ms(6)).expect("a bucket is due");
+        assert_eq!((first.n, first.reason), (32, FlushReason::Deadline));
+        let second = s.park(0, ms(10)).expect("the 512 bucket's linger closed");
+        assert_eq!((second.n, second.reason), (512, FlushReason::Linger));
+        let third = s.park(0, ms(10)).expect("the 128 bucket waits, undue");
+        assert_eq!((third.n, third.reason), (128, FlushReason::Linger));
+        assert!(s.park(0, ms(10)).is_none());
+        assert_eq!(s.idle(), 1);
+    }
+
+    #[test]
+    fn a_parking_worker_and_an_admission_never_miss_each_other() {
+        // One admitter and one worker share the scheduler under a lock, as
+        // the service's submitters and workers do. Linger is an hour and
+        // the target batch out of reach, so only the hand-off serves a
+        // request: an admission that lands while the worker is between
+        // serving and parking must be pulled by the park, and one that
+        // lands after the park must be claimed for the parked worker. A
+        // lost hand-off leaves a request in its bucket and times out.
+        use std::sync::mpsc;
+        use std::sync::{Arc, Mutex};
+        const REQUESTS: u64 = 2_000;
+        let table = BucketTable::new(64, Duration::from_secs(3600));
+        let scheduler = Arc::new(Mutex::new(Scheduler::new(table, 1, 1024)));
+        let (route, routed) = mpsc::channel::<(FlushedBatch<f32>, bool)>();
+        let (serve, served) = mpsc::channel::<u64>();
+        let worker = {
+            let scheduler = Arc::clone(&scheduler);
+            std::thread::spawn(move || loop {
+                let pulled = scheduler.lock().unwrap().park(0, 0);
+                let flush = match pulled {
+                    Some(flush) => flush,
+                    None => match routed.recv() {
+                        Ok((flush, claimed)) => {
+                            let mut s = scheduler.lock().unwrap();
+                            s.woke(0);
+                            if claimed {
+                                s.release(0);
+                            }
+                            flush
+                        }
+                        Err(_) => return,
+                    },
+                };
+                for r in flush.requests {
+                    serve.send(r.id).unwrap();
+                }
+            })
+        };
+        for id in 0..REQUESTS {
+            let flushes = {
+                let mut s = scheduler.lock().unwrap();
+                let full = s.admit(req(id, 32), 0).unwrap();
+                let mut flushes: Vec<_> = full.into_iter().collect();
+                flushes.extend(s.due(0));
+                flushes
+            };
+            for (flush, claimed) in flushes {
+                route.send((flush, claimed.is_some())).unwrap();
+            }
+            let handed = served.recv_timeout(Duration::from_secs(10));
+            assert_eq!(handed, Ok(id), "request {id} was never handed to the worker");
+        }
+        drop(route);
+        worker.join().unwrap();
     }
 }

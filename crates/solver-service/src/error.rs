@@ -14,12 +14,14 @@ use tridiag_core::TridiagError;
 /// Why the service refused (or failed) a request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServiceError {
-    /// The bounded admission queue is at capacity. Nothing was enqueued;
-    /// the caller should back off and retry. This is load shedding, not
+    /// The scheduler already holds its capacity of admitted, un-flushed
+    /// requests. Nothing was admitted; the caller should back off and
+    /// retry. This is load shedding, not
     /// failure — the alternative (blocking the submitter) would propagate
     /// the stall upstream.
     QueueFull {
-        /// Configured queue capacity that was hit.
+        /// Configured admission capacity that was hit
+        /// (`ServiceConfig::queue_capacity`).
         capacity: usize,
         /// Suggested back-off before retrying, derived from the service's
         /// observed drain rate (`None` before any request has completed).

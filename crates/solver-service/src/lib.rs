@@ -4,13 +4,15 @@
 //! solvers — the serving layer the paper's library would need in
 //! production, structured like an inference server:
 //!
-//! 1. **Admission & backpressure** ([`queue`]): a bounded queue that
-//!    *rejects* when full ([`ServiceError::QueueFull`]) instead of
-//!    blocking submitters — load is shed at the edge.
+//! 1. **Admission & backpressure** ([`service`], [`batcher`]): the
+//!    submitter admits its request into the scheduler on its own thread,
+//!    which *rejects* ([`ServiceError::QueueFull`]) once `queue_capacity`
+//!    requests wait there instead of blocking — load is shed at the edge.
 //! 2. **Micro-batching** ([`batcher`]): requests accumulate in per-size
-//!    buckets (systems of different `n` never share a kernel launch) and
-//!    flush at a target batch size or a max-linger deadline, whichever
-//!    comes first.
+//!    buckets (systems of different `n` never share a kernel launch); an
+//!    idle worker takes the oldest bucket at once, and only while every
+//!    worker is busy does a bucket wait for the target batch size, a
+//!    max-linger or a member's deadline.
 //! 3. **Planning & dispatch** ([`planner`], [`dispatch`]): the first
 //!    flush of each `(n, element width, device)` key runs an autotune
 //!    tournament over [`gpu_solvers::GpuAlgorithm::paper_five`], the
@@ -63,7 +65,6 @@ pub mod dispatch;
 pub mod error;
 pub mod metrics;
 pub mod planner;
-pub mod queue;
 pub mod request;
 pub mod service;
 pub mod sightings;
@@ -75,7 +76,6 @@ pub use dispatch::{serve_flush, DeviceCtx, DispatchConfig};
 pub use error::ServiceError;
 pub use metrics::{DegradationState, DeviceSnapshot, MetricsSnapshot, ServiceMetrics};
 pub use planner::{autotune_ranked_on, CpuEngine, Engine, Plan, PlanCache};
-pub use queue::{BoundedQueue, Pop, PushError};
 pub use request::{
     make_request, make_request_at, make_request_keyed, make_request_with_deadline, SolveRequest,
     SolveResponse, Ticket,

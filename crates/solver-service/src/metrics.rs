@@ -408,7 +408,9 @@ pub struct MetricsSnapshot {
     pub cert_sampled_verifies: u64,
     /// Certificates permanently revoked after a caught corruption.
     pub certs_revoked: u64,
-    /// Admission queue depth at snapshot time.
+    /// Requests waiting in the scheduler's buckets (admitted, not yet
+    /// flushed to a worker) at snapshot time; admission refuses at
+    /// `ServiceConfig::queue_capacity` of them.
     pub queue_depth: usize,
     /// Autotune tournaments run so far.
     pub plan_tunes: u64,

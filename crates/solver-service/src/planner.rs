@@ -354,23 +354,31 @@ fn cpu_probe<T: Real>(n: usize, count: usize) -> Option<SystemBatch<T>> {
 }
 
 /// Milliseconds for one sequential Thomas pass over `batch`: wall-clock
-/// (median of three runs, to shrug off scheduler noise) on a real clock,
-/// or the deterministic per-row model — matching the dispatcher's
-/// simulated CPU engine time — on a simulated one.
+/// (the [`cost_estimate`] of five runs) on a real clock, or the
+/// deterministic per-row model — matching the dispatcher's simulated CPU
+/// engine time — on a simulated one.
 fn time_cpu_thomas<T: Real>(batch: &SystemBatch<T>, clock: &Clock) -> f64 {
     if clock.is_sim() {
         return crate::dispatch::sim_cpu_ns(CpuEngine::Thomas, batch.n(), batch.count()) as f64
             / 1e6;
     }
-    let mut samples = [0.0f64; 3];
+    let mut samples = [0.0f64; 5];
     for s in samples.iter_mut() {
         let start = Instant::now();
         let out = cpu_solvers::solve_batch_seq(&cpu_solvers::Thomas, batch);
         let elapsed = start.elapsed().as_secs_f64() * 1e3;
         *s = if out.is_ok() { elapsed } else { f64::INFINITY };
     }
-    samples.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    samples[1]
+    cost_estimate(&samples)
+}
+
+/// The cost of a run from wall-clock samples of it: their minimum.
+/// Preemption only ever adds time to a sample, so the fastest one is the
+/// closest to the work itself; a median of few samples still moves with
+/// the host's noise, and a tournament that over-times the CPU runs (and
+/// keeps) every GPU candidate the prune would have skipped.
+fn cost_estimate(samples: &[f64]) -> f64 {
+    samples.iter().copied().fold(f64::INFINITY, f64::min)
 }
 
 #[cfg(test)]
@@ -495,6 +503,16 @@ mod tests {
             }
         }
         pruned
+    }
+
+    #[test]
+    fn cost_estimate_ignores_preempted_samples() {
+        // Two of five runs were preempted: the estimate is the fastest
+        // undisturbed run, where the median of the first three samples
+        // would have reported a preempted one (4.80).
+        assert_eq!(cost_estimate(&[4.80, 0.21, 39.5, 0.20, 0.22]), 0.20);
+        assert_eq!(cost_estimate(&[0.3, f64::INFINITY]), 0.3, "a failed run never wins");
+        assert_eq!(cost_estimate(&[f64::INFINITY; 5]), f64::INFINITY, "every run failed");
     }
 
     #[test]

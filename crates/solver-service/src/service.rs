@@ -1,50 +1,50 @@
-//! The service itself: admission → batcher thread → sharded worker pool,
-//! with a work-conserving flush rule between them.
+//! The service itself: admission on the caller's thread → sharded worker
+//! pool, with a work-conserving flush rule between them.
 //!
 //! Thread topology (all plain `std::thread`, no external runtime):
 //!
 //! ```text
-//!  submitters ──► BoundedQueue ──► batcher ──► StealQueues ──► worker/device 0..D
-//!     (many)      (reject-full)   (1 thread)  (routing +       (serve_flush on
-//!                                     │        work stealing)    its own device)
-//!                                     ▼                              │
-//!                                 Scheduler ◄──── pull oldest / park ┘
-//!                          (bucket table + idle workers, one lock)
+//!  submitters ──► Scheduler ──► StealQueues ──► worker/device 0..D
+//!     (many)     (admission cap,  (routing +      (serve_flush on
+//!                 bucket table,    work stealing)   its own device)
+//!                 idle workers;                         │
+//!                 one lock)  ◄──── pull due/oldest / park ┘
 //! ```
 //!
-//! * **Admission** validates the system, assigns an id, and pushes into
-//!   the bounded queue — failing fast with [`ServiceError::QueueFull`]
-//!   under overload.
-//! * **The batcher** drains the queue into the [`Scheduler`]'s bucket
-//!   table, sleeping exactly until its earliest linger deadline. While a
-//!   worker is parked, every admission ends with the oldest bucket flushed
-//!   to that worker's device at once: holding a request back only pays
-//!   while every worker is busy, so only then do requests wait for the
-//!   target batch, `max_linger` or a deadline. A flush with no idle worker
-//!   to claim goes round-robin to a healthy device's queue.
+//! * **Admission** validates the system, assigns an id and, under the
+//!   scheduler lock, admits it into the [`Scheduler`]'s bucket table —
+//!   failing fast with [`ServiceError::QueueFull`] while `queue_capacity`
+//!   requests already wait there. While a worker is parked, the admission
+//!   ends with the oldest bucket flushed to that worker's device at once:
+//!   holding a request back only pays while every worker is busy, so only
+//!   then do requests wait for the target batch, `max_linger` or a
+//!   deadline. The submitter routes the flushes itself after dropping the
+//!   lock; a flush with no idle worker to claim goes round-robin to a
+//!   healthy device's queue. There is no batcher thread and no timer.
 //! * **Workers** are pinned one-per-device (or share device 0 when the
 //!   service runs single-device). A worker with nothing routed to it
-//!   steals batches from the longest other queue, then takes the oldest
-//!   bucket from the scheduler itself, and parks as idle only when every
-//!   bucket is empty — the pull and the park happen under the scheduler
-//!   lock the batcher admits under, so no arrival slips between them. A
-//!   worker whose device is lost re-routes its backlog to survivors and
-//!   falls back to the CPU safety net only when no healthy device remains.
+//!   steals batches from the longest other queue, then takes a bucket from
+//!   the scheduler itself — the most urgent one whose linger or deadline
+//!   point has passed, else the oldest — and parks as idle only when every
+//!   bucket is empty. The pull and the park happen under the scheduler
+//!   lock the submitters admit under, so no arrival slips between them.
+//!   A worker whose device is lost re-routes its backlog to survivors and
+//!   leaves their buckets alone; once no healthy device remains it pulls
+//!   and parks again, serving through the CPU safety net, since nothing
+//!   else would.
 //!
-//! Shutdown is a drain, not an abort: the queue closes (new submissions
-//! are rejected), the batcher pops everything already admitted, flushes
-//! all partial buckets with [`FlushReason::Shutdown`], and the workers
-//! finish every routed batch before joining. Every admitted request is
-//! always answered.
+//! Shutdown is a drain, not an abort: under the lock the scheduler closes
+//! (new submissions are rejected) and flushes all partial buckets with
+//! [`FlushReason::Shutdown`]; the workers finish every routed batch before
+//! joining. Every admitted request is always answered.
 
-use crate::batcher::{BucketTable, FlushedBatch, Scheduler};
+use crate::batcher::{BucketTable, FlushedBatch, Refusal, Scheduler};
 use crate::breaker::{BreakerConfig, CircuitBreakers};
 use crate::dispatch::{serve_flush, DeviceCtx, DispatchConfig};
 use crate::error::ServiceError;
 use crate::metrics::{DeviceSnapshot, MetricsSnapshot, ServiceMetrics};
 use crate::planner::PlanCache;
-use crate::queue::{BoundedQueue, Pop, PushError};
-use crate::request::{make_request_keyed, SolveRequest, SolveResponse, Ticket};
+use crate::request::{make_request_keyed, SolveResponse, Ticket};
 use crate::trace::{RejectReason, TraceEvent, TraceHandle};
 use device_pool::{DevicePool, PoolConfig, Pop as DevicePop, StealQueues};
 use factor_cache::SharedFactorCache;
@@ -61,13 +61,17 @@ use crate::batcher::FlushReason;
 /// Tunables for a [`SolverService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Admission queue capacity; pushes beyond this are rejected.
+    /// Most requests waiting in the scheduler's buckets (admitted, not
+    /// yet flushed to a worker); a submission beyond this is rejected with
+    /// [`ServiceError::QueueFull`].
     pub queue_capacity: usize,
     /// Flush a size-class bucket when it holds this many requests.
     pub target_batch: usize,
     /// Flush a bucket when its oldest request has waited this long while
     /// every worker was busy. An idle worker takes the oldest bucket at
-    /// once, so an unsaturated service never lingers.
+    /// once, so an unsaturated service never lingers; and with no timer, a
+    /// bucket past its linger is flushed by the next admission or taken by
+    /// the next worker to free up, before any younger bucket.
     pub max_linger: Duration,
     /// Worker threads executing flushed batches.
     pub workers: usize,
@@ -199,7 +203,6 @@ struct Routed<T: Real> {
 }
 
 struct Shared<T: Real> {
-    queue: BoundedQueue<SolveRequest<T>>,
     scheduler: Mutex<Scheduler<T>>,
     metrics: ServiceMetrics,
     plans: PlanCache,
@@ -254,14 +257,13 @@ impl<T: Real> Shared<T> {
 /// with [`SolverService::shutdown`] (or drop — the drain still happens).
 pub struct SolverService<T: Real> {
     shared: Arc<Shared<T>>,
-    batcher: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     next_id: AtomicU64,
     client_retry: bool,
 }
 
 impl<T: Real> SolverService<T> {
-    /// Spawns the batcher and worker threads and opens admission.
+    /// Spawns the worker threads and opens admission.
     pub fn start(config: ServiceConfig) -> Self {
         assert!(config.workers >= 1, "need at least one worker");
         let pool = match config.pool {
@@ -280,8 +282,7 @@ impl<T: Real> SolverService<T> {
         let table = BucketTable::new(config.target_batch, config.max_linger)
             .with_deadline_slack(config.deadline_slack);
         let shared = Arc::new(Shared {
-            queue: BoundedQueue::new(config.queue_capacity),
-            scheduler: Mutex::new(Scheduler::new(table, pool.len())),
+            scheduler: Mutex::new(Scheduler::new(table, pool.len(), config.queue_capacity)),
             metrics: ServiceMetrics::new(),
             plans: match config.verified {
                 Some(catalog) => PlanCache::proven_only(catalog),
@@ -311,14 +312,6 @@ impl<T: Real> SolverService<T> {
             trace,
         });
 
-        let batcher = {
-            let shared = shared.clone();
-            std::thread::Builder::new()
-                .name("solver-service-batcher".into())
-                .spawn(move || batcher_loop(shared))
-                .expect("spawn batcher")
-        };
-
         // Single-device pools keep the configured worker count (all pinned
         // to device 0, contending on its queue); multi-device pools pin one
         // worker per device so every device drains independently.
@@ -339,13 +332,7 @@ impl<T: Real> SolverService<T> {
             })
             .collect();
 
-        Self {
-            shared,
-            batcher: Some(batcher),
-            workers,
-            next_id: AtomicU64::new(0),
-            client_retry: config.client_retry,
-        }
+        Self { shared, workers, next_id: AtomicU64::new(0), client_retry: config.client_retry }
     }
 
     /// The clock this service runs on — callers use it to build absolute
@@ -383,7 +370,7 @@ impl<T: Real> SolverService<T> {
     /// A deadline already in the past (or sub-slack close) is rejected at
     /// admission with [`ServiceError::DeadlineExceeded`] — retrying the
     /// same deadline cannot help. An admitted deadline is *advisory*: the
-    /// batcher flushes the request's bucket early to try to meet it, and
+    /// scheduler flushes the request's bucket early to try to meet it, and
     /// [`SolveResponse::deadline_missed`] reports the verdict. Admitted
     /// requests are never dropped.
     pub fn submit_with_deadline(
@@ -436,27 +423,39 @@ impl<T: Real> SolverService<T> {
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let (request, ticket) = make_request_keyed(id, system, now, deadline, matrix_key);
-        match self.shared.queue.push(request) {
-            Ok(()) => {
+        let mut scheduler = self.shared.scheduler();
+        let flushes = match scheduler.admit(request, now) {
+            Ok(full) => {
+                // Counted and traced under the lock, so `Admit` precedes
+                // any `Flush` of this request.
                 self.shared.metrics.on_submit();
                 self.shared.trace.emit(|| TraceEvent::Admit { at: now, id, n: n as u64 });
-                Ok(ticket)
+                let mut flushes: Vec<_> = full.into_iter().collect();
+                flushes.extend(scheduler.due(now));
+                flushes
             }
-            Err((PushError::Full, request)) => {
+            Err((refusal, request)) => {
+                let capacity = scheduler.capacity();
+                drop(scheduler);
                 self.shared.metrics.on_reject();
-                reject(RejectReason::QueueFull);
-                let error = ServiceError::QueueFull {
-                    capacity: self.shared.queue.capacity(),
-                    retry_after: self.retry_after_hint(),
+                let error = match refusal {
+                    Refusal::Full => {
+                        reject(RejectReason::QueueFull);
+                        ServiceError::QueueFull { capacity, retry_after: self.retry_after_hint() }
+                    }
+                    Refusal::Closed => {
+                        reject(RejectReason::ShuttingDown);
+                        ServiceError::ShuttingDown
+                    }
                 };
-                Err((error, Box::new(request.system)))
+                return Err((error, Box::new(request.system)));
             }
-            Err((PushError::Closed, request)) => {
-                self.shared.metrics.on_reject();
-                reject(RejectReason::ShuttingDown);
-                Err((ServiceError::ShuttingDown, Box::new(request.system)))
-            }
+        };
+        drop(scheduler);
+        for (flush, claimed) in flushes {
+            self.shared.route_flush(flush, claimed);
         }
+        Ok(ticket)
     }
 
     /// Submits with no deadline. When the queue is full and carries a
@@ -534,7 +533,7 @@ impl<T: Real> SolverService<T> {
     /// breaker states are read at call time).
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = self.shared.metrics.snapshot(
-            self.shared.queue.len(),
+            self.shared.scheduler().table().pending(),
             self.shared.plans.tunes(),
             self.shared.plans.hits(),
         );
@@ -567,11 +566,16 @@ impl<T: Real> SolverService<T> {
         self.metrics()
     }
 
+    /// Closing and routing happen on the owner's thread: `shutdown` and
+    /// `drop` take the service by value, so no submission can be between
+    /// its admission and its routing here.
     fn shutdown_in_place(&mut self) {
-        self.shared.queue.close();
-        if let Some(handle) = self.batcher.take() {
-            let _ = handle.join();
+        let flushes = self.shared.scheduler().close();
+        for (flush, claimed) in flushes {
+            self.shared.route_flush(flush, claimed);
         }
+        // Workers exit once their backlog is served.
+        self.shared.queues.close();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -602,58 +606,31 @@ fn worst_breaker_state(states: &std::collections::BTreeMap<String, String>, id: 
     worst
 }
 
-/// The batcher thread: queue → scheduler → flush → routed device queue.
-fn batcher_loop<T: Real>(shared: Arc<Shared<T>>) {
-    let mut admitted = Vec::new();
-    loop {
-        let deadline = shared.scheduler().table().next_deadline();
-        let popped = shared.queue.pop_all_until(deadline, &shared.clock, &mut admitted);
-        let now = shared.clock.now();
-        let mut scheduler = shared.scheduler();
-        let flushes = match popped {
-            Pop::Items => {
-                let mut flushes: Vec<_> =
-                    admitted.drain(..).filter_map(|r| scheduler.admit(r, now)).collect();
-                flushes.extend(scheduler.due(now));
-                flushes
-            }
-            Pop::TimedOut => scheduler.due(now),
-            // Shutdown: everything admitted has been popped; flush the
-            // partial buckets so no request is stranded.
-            Pop::Drained => scheduler.flush_all(),
-        };
-        drop(scheduler);
-        for (flush, claimed) in flushes {
-            shared.route_flush(flush, claimed);
-        }
-        if popped == Pop::Drained {
-            // Workers exit once their backlog is served.
-            shared.queues.close();
-            break;
-        }
-    }
-}
-
 /// The next flush for the worker on `device_id`, or `None` once the
 /// queues close and its backlog drains: a flush routed to its device (or
-/// stolen from the longest other queue); else the oldest bucket, pulled
-/// from the scheduler; else it parks as idle until a flush is routed.
+/// stolen from the longest other queue); else a bucket pulled from the
+/// scheduler, the most urgent due one first; else it parks as idle until a
+/// flush is routed.
 fn next_flush<T: Real>(shared: &Shared<T>, device_id: usize) -> Option<FlushedBatch<T>> {
     // A lost device must not steal healthy devices' work or pull buckets —
     // it would serve them through the CPU safety net. It still drains
     // batches already routed to it (re-routing them in `worker_loop`).
+    // Once no healthy device remains it pulls and parks again: the
+    // scheduler has no timer, so nothing else would serve the buckets.
     let healthy = !shared.pool.is_lost(device_id);
+    let pulls = healthy || shared.pool.healthy().is_empty();
     let (routed, from) = match shared.queues.try_pop(device_id, healthy) {
         Some(hit) => hit,
         None => {
-            if healthy {
-                if let Some(flush) = shared.scheduler().park(device_id) {
+            if pulls {
+                let pulled = shared.scheduler().park(device_id, shared.clock.now());
+                if let Some(flush) = pulled {
                     shared.emit_flush(&flush);
                     return Some(flush);
                 }
             }
             let popped = shared.queues.pop(device_id, healthy);
-            if healthy {
+            if pulls {
                 shared.scheduler().woke(device_id);
             }
             match popped {
@@ -794,7 +771,7 @@ mod tests {
     #[test]
     fn submissions_after_shutdown_are_rejected() {
         let service: SolverService<f32> = SolverService::start(quick_config());
-        service.shared.queue.close();
+        assert!(service.shared.scheduler().close().is_empty(), "nothing was admitted");
         let system = Generator::new(4).system(Workload::DiagonallyDominant, 32);
         assert!(matches!(service.submit(system), Err(ServiceError::ShuttingDown)));
     }
@@ -808,8 +785,8 @@ mod tests {
 
     #[test]
     fn queue_full_rejects_with_typed_error() {
-        // One-slot queue, long linger, and a first request that parks in
-        // the batcher leaves the queue momentarily full for a burst.
+        // One-slot cap, long linger, one worker: while the worker serves,
+        // the next request waits in its bucket and fills the cap.
         let config = ServiceConfig {
             queue_capacity: 1,
             target_batch: 1000,
@@ -847,32 +824,79 @@ mod tests {
 
     #[test]
     fn a_full_queue_gets_exactly_one_client_retry() {
-        // Holding the scheduler lock stalls the batcher with one request
-        // in hand, so a second one keeps the one-slot queue full.
+        // The only worker is busy with a large system, so the first small
+        // request waits in its bucket and fills the one-slot cap; the next
+        // is refused. The sim clock makes the hinted back-off virtual, so
+        // the retry lands long before the large system is served.
         for client_retry in [true, false] {
-            let config = ServiceConfig { queue_capacity: 1, client_retry, ..quick_config() };
+            let config = ServiceConfig {
+                queue_capacity: 1,
+                client_retry,
+                max_linger: Duration::from_secs(60),
+                target_batch: 1000,
+                workers: 1,
+                pin_engine: Some(crate::planner::Engine::Cpu(crate::planner::CpuEngine::Thomas)),
+                clock: Clock::sim(),
+                ..quick_config()
+            };
             let service: SolverService<f32> = SolverService::start(config);
             let mut generator = Generator::new(13);
-            let mut system = || generator.system(Workload::DiagonallyDominant, 32);
-            service.submit_wait(system()).unwrap(); // a completion, so a hint exists
-            let stall = service.shared.scheduler();
-            let first = service.submit(system()).unwrap();
-            let since = std::time::Instant::now();
-            while !service.shared.queue.is_empty() {
-                assert!(since.elapsed() < Duration::from_secs(30), "batcher never drained");
-                std::thread::yield_now();
-            }
-            let second = service.submit(system()).unwrap();
-            match service.submit_wait(system()) {
-                Err(ServiceError::QueueFull { retry_after: Some(_), .. }) => {}
+            // A completion first, so a hint exists.
+            service.submit_wait(generator.system(Workload::DiagonallyDominant, 32)).unwrap();
+            let large = generator.system(Workload::DiagonallyDominant, 1 << 20);
+            wait_for_idle(&service, 1);
+            let _large = service.submit(large).unwrap();
+            wait_for_idle(&service, 0);
+            let first = service.submit(generator.system(Workload::DiagonallyDominant, 32)).unwrap();
+            match service.submit_wait(generator.system(Workload::DiagonallyDominant, 32)) {
+                Err(ServiceError::QueueFull { capacity: 1, retry_after: Some(_) }) => {}
                 other => panic!("expected QueueFull with a hint, got {other:?}"),
             }
             let retries = u64::from(client_retry);
             assert_eq!(service.metrics().rejected, 1 + retries, "one retry, never a loop");
-            drop(stall);
-            assert!(first.wait().residual < 1e-2 && second.wait().residual < 1e-2);
+            assert!(first.wait().residual < 1e-2);
             assert_eq!(service.shutdown().completed, 3);
         }
+    }
+
+    #[test]
+    fn every_device_lost_still_answers() {
+        // A one-device pool whose device is lost on its first launch: the
+        // worker serves through the CPU safety net and must keep pulling
+        // buckets, or the next request waits for a worker that never comes.
+        use gpu_sim::FaultConfig;
+        let config = ServiceConfig {
+            pool: Some(device_pool::PoolConfig {
+                fault: Some(FaultConfig { device_lost_after: Some(0), ..FaultConfig::quiet(0) }),
+                ..device_pool::PoolConfig::new(1)
+            }),
+            workers: 1,
+            min_gpu_batch: 1,
+            max_linger: Duration::from_millis(20),
+            pin_engine: Some(crate::planner::Engine::Gpu(gpu_solvers::GpuAlgorithm::CrPcr {
+                m: 16,
+            })),
+            ..quick_config()
+        };
+        let service: SolverService<f32> = SolverService::start(config);
+        let mut generator = Generator::new(14);
+        for i in 0..3 {
+            let ticket =
+                service.submit(generator.system(Workload::DiagonallyDominant, 64)).unwrap();
+            let since = std::time::Instant::now();
+            let resp = loop {
+                if let Some(resp) = ticket.try_take() {
+                    break resp;
+                }
+                assert!(since.elapsed() < Duration::from_secs(10), "request {i} was stranded");
+                std::thread::sleep(Duration::from_millis(1));
+            };
+            assert_eq!(resp.engine, "cpu-gep", "a lost device serves through the safety net");
+            assert!(resp.residual < 1e-2, "{}", resp.residual);
+        }
+        let snap = service.shutdown();
+        assert!(snap.devices[0].lost);
+        assert_eq!(snap.completed, 3);
     }
 
     #[test]
@@ -946,7 +970,7 @@ mod tests {
     #[test]
     fn a_lone_request_skips_the_linger() {
         // The worker is parked before the request arrives, so only the
-        // batcher's idle check can flush it short of the 60 s linger.
+        // admission's idle check can flush it short of the 60 s linger.
         let config = ServiceConfig {
             max_linger: Duration::from_secs(60),
             target_batch: 1000,
@@ -966,7 +990,7 @@ mod tests {
     #[test]
     fn a_burst_drains_without_waiting_out_the_linger() {
         // Mixed sizes, a 60 s linger and an unreachable batch target: the
-        // batcher hands the idle worker one bucket, and every other
+        // admissions hand the idle worker one bucket, and every other
         // partial bucket must be pulled by the worker as it runs dry.
         let config = ServiceConfig {
             queue_capacity: 256,
